@@ -35,9 +35,9 @@ int64_t NowNs() {
       .count();
 }
 
-int64_t ThreadCpuNs() {
+int64_t ProcessCpuNs() {
   timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
   return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
 }
 
@@ -242,11 +242,6 @@ std::unique_ptr<ReachabilityIndex> MaybeTrace(
 
 namespace {
 
-std::string LayerOf(const char* name) {
-  const char* dot = std::strchr(name, '.');
-  return dot == nullptr ? std::string(name) : std::string(name, dot);
-}
-
 /// Total length of the union of [start, end) intervals.
 int64_t CoveredNs(std::vector<std::pair<int64_t, int64_t>> intervals) {
   std::sort(intervals.begin(), intervals.end());
@@ -272,45 +267,29 @@ int64_t CoveredNs(std::vector<std::pair<int64_t, int64_t>> intervals) {
 
 TraceBreakdown BreakDown(const std::vector<Span>& spans) {
   std::map<uint64_t, const Span*> requests;
-  std::map<uint64_t, std::vector<const Span*>> children;
+  std::map<uint64_t, std::vector<std::pair<int64_t, int64_t>>> children;
   for (const Span& s : spans) {
     if (s.parent == 0 && s.request == s.id) requests[s.id] = &s;
-    if (s.parent != 0) children[s.parent].push_back(&s);
+    if (s.parent != 0) children[s.parent].emplace_back(s.start_ns, s.end_ns);
   }
   TraceBreakdown out;
-  for (const auto& [id, request] : requests) {
-    const int64_t latency = request->end_ns - request->start_ns;
-    std::map<std::string, std::vector<std::pair<int64_t, int64_t>>> by_layer;
-    std::vector<std::pair<int64_t, int64_t>> all;
-    for (const Span* child : children[id]) {
-      if (child->start_ns < request->start_ns ||
-          child->end_ns > request->end_ns) {
+  for (const auto& [parent, intervals] : children) {
+    const auto it = requests.find(parent);
+    for (const auto& [start, end] : intervals) {
+      if (it == requests.end() || start < it->second->start_ns ||
+          end > it->second->end_ns) {
         ++out.nesting_violations;
       }
-      const std::pair<int64_t, int64_t> clipped = {
-          std::max(child->start_ns, request->start_ns),
-          std::min(child->end_ns, request->end_ns)};
-      by_layer[LayerOf(child->name)].push_back(clipped);
-      all.push_back(clipped);
     }
-    const std::string own_layer = LayerOf(request->name);
-    const int64_t self = latency - CoveredNs(all);
-    int64_t accounted = self;
-    out.layer_self_s[own_layer] += static_cast<double>(self) * 1e-9;
-    for (const auto& [layer, intervals] : by_layer) {
-      const int64_t covered = CoveredNs(intervals);
-      accounted += covered;
-      out.layer_self_s[layer] += static_cast<double>(covered) * 1e-9;
-    }
-    out.max_residual_s = std::max(
-        out.max_residual_s,
-        static_cast<double>(std::llabs(accounted - latency)) * 1e-9);
-    if (own_layer == "engine") {
-      out.engine_self_s += static_cast<double>(self) * 1e-9;
-      out.engine_latency_s += static_cast<double>(latency) * 1e-9;
-      ++out.engine_requests;
-    }
+  }
+  for (const auto& [id, request] : requests) {
     ++out.requests;
+    if (std::strncmp(request->name, "engine.", 7) != 0) continue;
+    const int64_t latency = request->end_ns - request->start_ns;
+    const int64_t self = latency - CoveredNs(children[id]);
+    out.engine_self_s += static_cast<double>(self) * 1e-9;
+    out.engine_latency_s += static_cast<double>(latency) * 1e-9;
+    ++out.engine_requests;
   }
   return out;
 }

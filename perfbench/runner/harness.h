@@ -47,9 +47,10 @@ uint64_t SubSeed(uint64_t seed, uint64_t stream);
 /// steady_clock nanoseconds.
 int64_t NowNs();
 
-/// CPU time of the calling thread, nanoseconds. Excludes time the thread
-/// was not running (preemption, hypervisor steal).
-int64_t ThreadCpuNs();
+/// CPU time of this process, all threads, nanoseconds. Excludes time no
+/// thread was running (preemption, hypervisor steal) and time spent
+/// waiting.
+int64_t ProcessCpuNs();
 
 /// Linear-interpolated percentile (p in [0, 1]); 0 for no samples.
 double Percentile(std::vector<double> values, double p);
@@ -85,7 +86,8 @@ using MetricValues = std::map<std::string, double>;
 struct Outcome {
   MetricValues metrics;
   /// Operations attempted (query and ingest requests) and how many of
-  /// them errored, were rejected, or disagreed with the oracle.
+  /// them errored, were rejected, or disagreed with the oracle. Any
+  /// failure makes the run incorrect.
   uint64_t attempted = 0;
   uint64_t failed = 0;
   /// Answers that disagreed with the oracle (subset of `failed`).
@@ -242,25 +244,22 @@ double TimeRequest(Tracer* tracer, TraceContext* context, const char* name,
   return static_cast<double>(end - start) * 1e-9;
 }
 
-/// Per-request split of a traced run's latency into layer self times.
+/// \brief Nesting check and engine self time over a traced run's spans.
+/// Each workload traces one backend layer, so a request's engine self
+/// time is its span minus the part its backend spans cover, and the two
+/// self times sum to the request's span exactly when every backend span
+/// lies inside its request.
 struct TraceBreakdown {
-  /// Requests analysed, and how many had a child span outside the
-  /// request's own interval (must be 0).
+  /// Requests analysed, and backend spans outside their request's
+  /// interval or naming no recorded request (must be 0).
   uint64_t requests = 0;
   uint64_t nesting_violations = 0;
-  /// Largest |sum of layer self times - latency| over requests, seconds.
-  double max_residual_s = 0.0;
   /// Engine self time summed over engine requests, and their latency.
   double engine_self_s = 0.0;
   double engine_latency_s = 0.0;
   uint64_t engine_requests = 0;
-  /// Self time per layer summed over every request.
-  std::map<std::string, double> layer_self_s;
 };
 
-/// Computes self times from the recorded spans: a request's own layer
-/// keeps its duration minus the part its children cover; each child
-/// layer gets the part of the request its spans cover.
 TraceBreakdown BreakDown(const std::vector<Span>& spans);
 
 /// Durations (ms) of every span with exactly this name.

@@ -6,10 +6,13 @@
 // Traffic: one closed-loop client; each request is one uniform §6 point
 // query (interval 150-350 ticks) through QueryEngine::Run with
 // cold_cache, so the pool is cleared before every query and no key
-// repeats. As in the paper's per-query cost model, a request's latency is
-// the CPU time the client thread spends in it: the query runs entirely
-// on that thread and waits on nothing, so this is its wall time minus
-// the stalls a shared host adds, which otherwise decide the p99.
+// repeats. As in the paper's per-query cost model, a request's latency
+// is the CPU time the process spends in it, on every thread: nothing
+// else runs during the measured phase and the simulated device never
+// waits, so this is its wall time minus the stalls a shared host adds,
+// which otherwise decide the p99. Work the engine moves to other threads
+// still counts; time a request spent waiting would not, so the run
+// prints the wall-clock percentiles beside it.
 // Loads: generators, join, network (set-up); reachgraph traversal and
 // synchronous cold storage reads (heavy); the engine's per-call overhead.
 // Bypasses: the engine's result cache (off under cold_cache), reachgrid,
@@ -105,7 +108,7 @@ Outcome RunPaperCold(const RunConfig& config, Tracer* tracer) {
   // Measured phase.
   std::vector<ReachAnswer> answers;
   std::vector<bool> errored;
-  std::vector<double> latency_ms;
+  std::vector<double> latency_ms, wall_ms;
   StorageTotals storage;
   double busy_s = 0.0;
   const int64_t deadline =
@@ -116,13 +119,15 @@ Outcome RunPaperCold(const RunConfig& config, Tracer* tracer) {
     }
     const std::vector<ReachQuery> batch{query};
     std::optional<Result<WorkloadReport>> report;
-    const int64_t cpu_start = ThreadCpuNs();
-    TimeRequest(tracer, &context, "engine.Run",
-                [&] { report.emplace(engine.Run(session.get(), batch)); });
+    const int64_t cpu_start = ProcessCpuNs();
+    const double wall =
+        TimeRequest(tracer, &context, "engine.Run",
+                    [&] { report.emplace(engine.Run(session.get(), batch)); });
     const double latency =
-        static_cast<double>(ThreadCpuNs() - cpu_start) * 1e-9;
+        static_cast<double>(ProcessCpuNs() - cpu_start) * 1e-9;
     busy_s += latency;
     latency_ms.push_back(latency * 1e3);
+    wall_ms.push_back(wall * 1e3);
     const bool ok = report->ok() && report->ValueUnsafe().statuses[0].ok();
     errored.push_back(!ok);
     answers.push_back(ok ? report->ValueUnsafe().answers[0] : ReachAnswer{});
@@ -212,6 +217,8 @@ Outcome RunPaperCold(const RunConfig& config, Tracer* tracer) {
       {"engine.repeat_key_share", FormatValue(m["engine.repeat_key_share"])},
       {"stream.segments_per_query", "n/a (no stream)"},
       {"threads", "1 client"},
+      {"wall_clock_query_p50_ms", FormatValue(Percentile(wall_ms, 0.50))},
+      {"wall_clock_query_p99_ms", FormatValue(Percentile(wall_ms, 0.99))},
   };
   return out;
 }
