@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <fstream>
 #include <stdexcept>
 
@@ -35,10 +34,29 @@ int64_t NowNs() {
       .count();
 }
 
-int64_t ProcessCpuNs() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+bool WantAnotherRound(int rounds_done, int64_t started_ns,
+                      int64_t deadline_ns) {
+  if (rounds_done < kMinRounds) return true;
+  if (rounds_done >= kMaxRounds) return false;
+  const int64_t now = NowNs();
+  return now + (now - started_ns) / rounds_done <= deadline_ns;
+}
+
+std::vector<double> BestOf(const std::vector<std::vector<double>>& rounds) {
+  if (rounds.empty()) return {};
+  std::vector<double> best = rounds[0];
+  for (const std::vector<double>& round : rounds) {
+    for (size_t i = 0; i < best.size(); ++i) {
+      best[i] = std::min(best[i], round[i]);
+    }
+  }
+  return best;
+}
+
+double Sum(const std::vector<double>& values) {
+  double total = 0.0;
+  for (double v : values) total += v;
+  return total;
 }
 
 double Percentile(std::vector<double> values, double p) {

@@ -27,8 +27,8 @@ namespace perfbench {
 struct RunConfig {
   std::string workload;
   uint64_t seed = 0;
-  /// Measured phase length; workloads stop sending requests once it has
-  /// passed and their minimum request count is met.
+  /// Measured phase length: a workload starts another round of requests
+  /// only while it still fits (after its minimum number of rounds).
   double seconds = 10.0;
   /// Wrap backend sessions in `TracedIndex` and record spans.
   bool trace = false;
@@ -47,16 +47,30 @@ uint64_t SubSeed(uint64_t seed, uint64_t stream);
 /// steady_clock nanoseconds.
 int64_t NowNs();
 
-/// CPU time of this process, all threads, nanoseconds. Excludes time no
-/// thread was running (preemption, hypervisor steal) and time spent
-/// waiting.
-int64_t ProcessCpuNs();
-
 /// Linear-interpolated percentile (p in [0, 1]); 0 for no samples.
 double Percentile(std::vector<double> values, double p);
 inline double Median(std::vector<double> values) {
   return Percentile(std::move(values), 0.5);
 }
+
+/// \brief Measured phases replay the same requests in identical rounds,
+/// each from the same starting state, so every round does the same work.
+/// A run makes at least `kMinRounds` rounds, and more while another one,
+/// at the pace so far, still ends before the deadline.
+inline constexpr int kMinRounds = 3;
+inline constexpr int kMaxRounds = 16;
+bool WantAnotherRound(int rounds_done, int64_t started_ns,
+                      int64_t deadline_ns);
+
+/// Per-request latency over identical rounds: element i is the least of
+/// `rounds[r][i]` over the rounds r. A shared host only ever adds time to
+/// a request (preemption, cache and memory-bandwidth contention from its
+/// neighbours), so the least of a request's repeats is its own cost, and
+/// percentiles over these are steady from run to run.
+std::vector<double> BestOf(const std::vector<std::vector<double>>& rounds);
+
+/// Sum of `values`.
+double Sum(const std::vector<double>& values);
 
 /// Peak resident set of this process (VmHWM), in MB.
 double PeakRssMb();

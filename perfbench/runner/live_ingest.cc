@@ -6,13 +6,14 @@
 // arrivals. The ingestor seals every kSealTicks ticks, raw codec, 1
 // shard.
 // Traffic: one thread replays the stream tick by tick into a fresh
-// StreamingIngestor. Every kQueryEvery ticks it sends kPointQueries
+// StreamingIngestor. Every `query_every` ticks it sends `point_queries`
 // point queries over a recent window (served by the head and a few
 // sealed segments) through QueryEngine::Run, and one tracing job:
 // RunClosures with 2 engine threads and batch_sources 4 over a
-// kLookbackTicks look-back spanning dozens of sealed segments. A run
-// replays whole passes of the same stream until the time is up, so every
-// run measures the same mix.
+// `lookback` spanning dozens of sealed segments. A run replays whole
+// passes of the same stream (the rounds), so every pass sends the same
+// requests against the same state; a request's latency is its least
+// over the passes.
 // Loads: stream (append, WAL, seals, sweeps fanning out over segments),
 // storage segment loads, the engine's multi-threaded RunClosures
 // scheduler. Bypasses: both batch indexes and the result cache (a live
@@ -63,7 +64,7 @@ struct Sizes {
 
 Sizes SizesFor(const RunConfig& config) {
   if (config.tiny) return {DatasetScale::kSmall, 400, 100, 4, 20, 40, 200};
-  return {DatasetScale::kMedium, 4000, 250, 32, 60, 120, 1536};
+  return {DatasetScale::kMedium, 4000, 250, 64, 60, 120, 1536};
 }
 
 /// The contact stream in arrival order, grouped by arrival tick:
@@ -200,21 +201,22 @@ Outcome RunLiveIngest(const RunConfig& config, Tracer* tracer) {
   const std::vector<QueryPoint> query_points = GenerateQueries(
       sizes, stream->num_objects, SubSeed(config.seed, 2));
 
-  // Measured phase: whole passes over the stream.
+  // Measured phase: whole passes over the stream. Seals and jobs fall on
+  // the same request positions in every pass.
   TraceContext context;
-  std::vector<double> ingest_ms, seal_ms, query_ms, job_ms;
-  double ingest_busy_s = 0.0, query_busy_s = 0.0;
-  uint64_t acked = 0, ingest_requests = 0, failed_ingests = 0;
-  uint64_t segments_seen = 0, head_seen = 0, seals = 0;
+  std::vector<std::vector<double>> ingest_ms, query_ms;  // [pass][request]
+  std::vector<size_t> seal_at, job_at;  // Request positions, first pass.
+  uint64_t failed_ingests = 0;
+  uint64_t segments_seen = 0, head_seen = 0;
   StorageTotals storage;
   std::vector<std::vector<PointAnswers>> passes;
   std::vector<char> acked_flags;  // Of the first pass, by arrival index.
   std::shared_ptr<StreamingIngestor> ingestor;
+  const int64_t started = NowNs();
   const int64_t deadline =
-      NowNs() + static_cast<int64_t>(config.seconds * 1e9);
-  const uint64_t min_requests = MinQueryRequests(config);
-  while (passes.empty() || NowNs() < deadline ||
-         query_ms.size() < min_requests) {
+      started + static_cast<int64_t>(config.seconds * 1e9);
+  while (WantAnotherRound(static_cast<int>(passes.size()), started,
+                          deadline)) {
     Result<std::shared_ptr<StreamingIngestor>> created =
         StreamingIngestor::Create(options);
     Require(created.status(), "StreamingIngestor::Create");
@@ -224,6 +226,8 @@ Outcome RunLiveIngest(const RunConfig& config, Tracer* tracer) {
     const bool first_pass = passes.empty();
     if (first_pass) acked_flags.assign(stream->arrivals.size(), 0);
     std::vector<PointAnswers> answers;
+    std::vector<double>& ingest = ingest_ms.emplace_back();
+    std::vector<double>& query = query_ms.emplace_back();
     size_t next_point = 0;
     for (Timestamp t = stream->span.start; t <= stream->span.end; ++t) {
       const size_t begin = stream->tick_begin[t - stream->span.start];
@@ -241,15 +245,11 @@ Outcome RunLiveIngest(const RunConfig& config, Tracer* tracer) {
                 }
               }
             });
-        acked += (end - begin) - rejected;
-        ++ingest_requests;
         if (rejected > 0) ++failed_ingests;
-        ingest_busy_s += latency;
-        ingest_ms.push_back(latency * 1e3);
-        if (ingestor->sealed_segments() > sealed_before) {
-          seal_ms.push_back(latency * 1e3);
-          ++seals;
+        if (first_pass && ingestor->sealed_segments() > sealed_before) {
+          seal_at.push_back(ingest.size());
         }
+        ingest.push_back(latency * 1e3);
       }
       if (next_point >= query_points.size() ||
           query_points[next_point].tick != t) {
@@ -265,12 +265,9 @@ Outcome RunLiveIngest(const RunConfig& config, Tracer* tracer) {
         head_seen += snapshot.head.size();
         const std::vector<ReachQuery> batch{q};
         std::optional<Result<WorkloadReport>> report;
-        const double latency =
-            TimeRequest(tracer, &context, "engine.Run", [&] {
-              report.emplace(point_engine.Run(session.get(), batch));
-            });
-        query_busy_s += latency;
-        query_ms.push_back(latency * 1e3);
+        query.push_back(1e3 * TimeRequest(tracer, &context, "engine.Run", [&] {
+                          report.emplace(point_engine.Run(session.get(), batch));
+                        }));
         const bool ok = report->ok() && report->ValueUnsafe().statuses[0].ok();
         pa.point_ok.push_back(ok);
         pa.points.push_back(ok ? report->ValueUnsafe().answers[0]
@@ -282,14 +279,12 @@ Outcome RunLiveIngest(const RunConfig& config, Tracer* tracer) {
       segments_seen += snapshot.segments.size();
       head_seen += snapshot.head.size();
       std::optional<Result<ClosureWorkloadReport>> job;
-      const double latency =
-          TimeRequest(tracer, &context, "engine.RunClosures", [&] {
+      if (first_pass) job_at.push_back(query.size());
+      query.push_back(
+          1e3 * TimeRequest(tracer, &context, "engine.RunClosures", [&] {
             job.emplace(job_engine.RunClosures(session.get(), qp.job_sources,
                                                qp.job_interval));
-          });
-      query_busy_s += latency;
-      query_ms.push_back(latency * 1e3);
-      job_ms.push_back(latency * 1e3);
+          }));
       pa.job_ok = job->ok();
       if (job->ok()) {
         pa.job = std::move(job->ValueUnsafe().sets);
@@ -366,7 +361,7 @@ Outcome RunLiveIngest(const RunConfig& config, Tracer* tracer) {
     helper.join();
   }
   Outcome out;
-  out.attempted = ingest_requests + query_ms.size();
+  out.attempted = passes.size() * (ingest_ms[0].size() + query_ms[0].size());
   out.failed = failed_ingests;
   auto check = [&](const PointAnswers& got, const PointAnswers& want) {
     for (size_t i = 0; i < want.points.size(); ++i) {
@@ -391,16 +386,23 @@ Outcome RunLiveIngest(const RunConfig& config, Tracer* tracer) {
   check(replayed, expected.back());
   out.attempted += replayed.points.size() + 1;
 
-  const double n = static_cast<double>(query_ms.size());
+  const std::vector<double> best_ingest = BestOf(ingest_ms);
+  const std::vector<double> best_query = BestOf(query_ms);
+  std::vector<double> seal_ms, job_ms;
+  for (size_t i : seal_at) seal_ms.push_back(best_ingest[i]);
+  for (size_t i : job_at) job_ms.push_back(best_query[i]);
+  const double n = static_cast<double>(best_query.size());
+  const double queries_sent = n * static_cast<double>(passes.size());
   const size_t stream_contacts = stream->arrivals.size();
   MetricValues& m = out.metrics;
   m["setup_s"] = Median(setup_s);
-  m["query_p50_ms"] = Percentile(query_ms, 0.50);
-  m["query_p99_ms"] = Percentile(query_ms, 0.99);
-  m["queries_per_s"] = n / query_busy_s;
-  storage.Report(query_ms.size(), &m);
-  m["ingest_records_per_s"] = static_cast<double>(acked) / ingest_busy_s;
-  m["ingest_p99_ms"] = Percentile(ingest_ms, 0.99);
+  m["query_p50_ms"] = Percentile(best_query, 0.50);
+  m["query_p99_ms"] = Percentile(best_query, 0.99);
+  m["queries_per_s"] = n * 1e3 / Sum(best_query);
+  storage.Report(static_cast<uint64_t>(queries_sent), &m);
+  m["ingest_records_per_s"] =
+      static_cast<double>(pass_acked) * 1e3 / Sum(best_ingest);
+  m["ingest_p99_ms"] = Percentile(best_ingest, 0.99);
   m["space_amp"] = static_cast<double>(stored_bytes + wal.size()) /
                    static_cast<double>(kContactBytes * pass_acked);
   m["peak_rss_mb"] = peak_rss_mb;
@@ -410,13 +412,14 @@ Outcome RunLiveIngest(const RunConfig& config, Tracer* tracer) {
   m["storage.write_amp"] = static_cast<double>(stored_bytes) /
                            static_cast<double>(kContactBytes * pass_acked);
   m["stream.append_us_per_contact"] =
-      ingest_busy_s * 1e6 / static_cast<double>(acked);
+      Sum(best_ingest) * 1e3 / static_cast<double>(pass_acked);
   m["stream.seal_ms_p50"] = Percentile(seal_ms, 0.50);
   m["stream.seal_ms_p99"] = Percentile(seal_ms, 0.99);
-  m["stream.seals"] =
-      static_cast<double>(seals) / static_cast<double>(passes.size());
-  m["stream.segments_per_query"] = static_cast<double>(segments_seen) / n;
-  m["stream.head_contacts_per_query"] = static_cast<double>(head_seen) / n;
+  m["stream.seals"] = static_cast<double>(seal_at.size());
+  m["stream.segments_per_query"] =
+      static_cast<double>(segments_seen) / queries_sent;
+  m["stream.head_contacts_per_query"] =
+      static_cast<double>(head_seen) / queries_sent;
   m["stream.wal_bytes_per_contact"] =
       static_cast<double>(wal.size()) / static_cast<double>(pass_acked);
   m["stream.recover_s"] = recover_s;
