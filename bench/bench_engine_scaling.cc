@@ -283,7 +283,7 @@ void RunClosureCell(benchmark::State& state, const std::string& name,
   for (auto _ : state) {
     auto report =
         engine.RunClosures(backend.get(), sources, ClosureWindow());
-    STREACH_CHECK(report.ok());
+    STREACH_CHECK(report.ok() && report->summary.failed_queries == 0);
     summary = std::move(report->summary);
   }
   const double per_source =

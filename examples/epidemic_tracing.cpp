@@ -92,10 +92,11 @@ int main(int argc, char** argv) {
   // later ticks. ReachGrid joins on the fly below; this pass shows the
   // front end's wall time and the live tier's segmentation.
   const double contact_range = 25.0;  // Bluetooth range, §6.
-  QueryEngineOptions streaming_knobs;
-  streaming_knobs.seal_interval_ticks = std::max<int>(1, ticks / 10);
-  auto ingestor = StreamingIngestor::Create(MakeStreamingOptions(
-      store->num_objects(), store->span(), streaming_knobs));
+  StreamingOptions streaming_options;
+  streaming_options.num_objects = store->num_objects();
+  streaming_options.span = store->span();
+  streaming_options.seal_interval_ticks = std::max<int>(1, ticks / 10);
+  auto ingestor = StreamingIngestor::Create(streaming_options);
   STREACH_CHECK(ingestor.ok());
   JoinOptions join_options;
   join_options.threads = join_threads;

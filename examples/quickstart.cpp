@@ -203,11 +203,12 @@ int main(int argc, char** argv) {
   //    the vector the batch families below build from. The extraction
   //    front end is the first wall-clock cost of every pipeline, so its
   //    time is printed alongside the build times.
-  QueryEngineOptions streaming_knobs;
-  streaming_knobs.seal_interval_ticks = 2;  // Seal every 2 ticks.
-  streaming_knobs.page_codec = page_codec;
-  auto ingestor = StreamingIngestor::Create(MakeStreamingOptions(
-      store.num_objects(), store.span(), streaming_knobs));
+  StreamingOptions streaming_options;
+  streaming_options.num_objects = store.num_objects();
+  streaming_options.span = store.span();
+  streaming_options.seal_interval_ticks = 2;  // Seal every 2 ticks.
+  streaming_options.build.page_codec = page_codec;
+  auto ingestor = StreamingIngestor::Create(streaming_options);
   STREACH_CHECK(ingestor.ok());
   std::vector<Contact> contacts;
   TeeSink tee(ingestor->get(), &contacts);
@@ -338,7 +339,7 @@ int main(int argc, char** argv) {
   for (auto& backend : backends) {
     auto report =
         closure_engine.RunClosures(backend.get(), seeds, full_span);
-    STREACH_CHECK(report.ok());
+    STREACH_CHECK(report.ok() && report->summary.failed_queries == 0);
     std::printf("  %s\n", report->summary.ToString().c_str());
   }
 

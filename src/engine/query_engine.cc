@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -22,6 +22,230 @@ double Percentile(const std::vector<double>& sorted, double p) {
   const size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+}
+
+/// Copies the session's stats into an item's slot after a backend call
+/// returned `status`. A spec rejected for its arguments (InvalidArgument)
+/// or asking for a primitive the backend lacks (NotSupported) never
+/// reached a traversal, so its slot stays empty instead of repeating the
+/// previous query's stats.
+void RecordStats(const ReachabilityIndex& session, const Status& status,
+                 QueryStats* stats) {
+  if (status.IsInvalidArgument() || status.IsNotSupported()) return;
+  *stats = session.last_query_stats();
+}
+
+/// Moves an evaluated answer into its report slot, or returns the error.
+template <typename T>
+Status Store(Result<T> result, T* slot) {
+  if (!result.ok()) return result.status();
+  *slot = std::move(result).ValueUnsafe();
+  return Status::OK();
+}
+
+/// One worker session's view of the engine's result cache. A hit answers
+/// with no backend work (the item's stats stay empty); a miss computes
+/// the full set or profile once and memoizes it for every later query
+/// sharing its key. Backends without an index identity are never cached.
+class WorkerCache {
+ public:
+  WorkerCache(ResultCache* cache, ReachabilityIndex* session)
+      : session_(session),
+        identity_(cache != nullptr ? session->IndexIdentity() : nullptr),
+        cache_(identity_ != nullptr ? cache : nullptr),
+        sets_(cache_ != nullptr) {}
+
+  /// Writes the point answer from the source's cached reachable set and
+  /// returns its status; nullopt when the session has no usable set
+  /// cache, so the caller takes its own uncached path. A backend whose
+  /// `ReachableSet` is NotSupported only answers point queries and is
+  /// not probed again.
+  std::optional<Status> Point(ObjectId source, ObjectId destination,
+                              TimeInterval interval, ReachAnswer* answer,
+                              QueryStats* stats) {
+    if (!sets_) return std::nullopt;
+    ResultCache::SetPtr set = cache_->Lookup(identity_, source, interval);
+    if (set == nullptr) {
+      auto computed = session_->ReachableSet(source, interval);
+      if (computed.status().IsNotSupported()) {
+        sets_ = false;
+        return std::nullopt;
+      }
+      *stats = session_->last_query_stats();
+      if (!computed.ok()) return computed.status();
+      set = std::make_shared<const std::vector<Timestamp>>(
+          std::move(computed).ValueUnsafe());
+      cache_->Insert(identity_, source, interval, set);
+    }
+    *answer = AnswerFromSet(*set, destination);
+    return Status::OK();
+  }
+
+  /// Decay / k-hop / threshold answer through `ConstrainedProfile`. The
+  /// resolved `HopConstraints` join the cache key, so specs of different
+  /// families that resolve to the same cap share one profile.
+  Result<FamilyAnswer> Profile(const QuerySpec& spec, QueryStats* stats) {
+    STREACH_ASSIGN_OR_RETURN(const HopConstraints hops, ResolveHops(spec));
+    if (cache_ != nullptr) {
+      if (ResultCache::ProfilePtr profile = cache_->LookupProfile(
+              identity_, spec.source, spec.interval, hops)) {
+        return AnswerFromProfile(spec, *profile);
+      }
+    }
+    auto computed =
+        session_->ConstrainedProfile(spec.source, spec.interval, hops);
+    RecordStats(*session_, computed.status(), stats);
+    if (!computed.ok()) return computed.status();
+    if (cache_ == nullptr) {
+      return AnswerFromProfile(spec, std::move(computed).ValueUnsafe());
+    }
+    auto shared = std::make_shared<const std::vector<ReachProfileEntry>>(
+        std::move(computed).ValueUnsafe());
+    cache_->InsertProfile(identity_, spec.source, spec.interval, hops, shared);
+    return AnswerFromProfile(spec, *shared);
+  }
+
+ private:
+  ReachabilityIndex* session_;
+  std::shared_ptr<const void> identity_;
+  ResultCache* cache_;  // nullptr: this session is never cached.
+  bool sets_;           // Cleared once ReachableSet proves NotSupported.
+};
+
+/// The one run loop behind `Run`, `RunFamilies` and `RunClosures`. The
+/// workload is `num_units` queries taken `per_item` at a time (1 for
+/// point and family runs, `batch_sources` for closures); item i is
+/// evaluated by `evaluate(i, session, cache, stats)`, which writes its
+/// answers into the caller's report, fills `stats` after any backend
+/// work and returns the item's status. Beyond that the loop is the same
+/// for every kind of item: it checks the codec, mints and configures one
+/// session per worker, lets workers claim items off an atomic counter,
+/// times each item and folds everything but the reach tally into
+/// `summary`. Only setup errors fail the call; a failed item is one
+/// entry of `statuses` and the run keeps going.
+template <typename Evaluate>
+Status Schedule(ReachabilityIndex* backend, const QueryEngineOptions& options,
+                ResultCache* cache, size_t num_units, size_t per_item,
+                const Evaluate& evaluate, std::vector<Status>* statuses,
+                std::vector<QueryStats>* stats, WorkloadSummary* summary) {
+  STREACH_CHECK(backend != nullptr);
+  // A disk backend decodes with the codec its index was built with; a
+  // run configured for a different codec is a deployment error, not
+  // something to silently paper over.
+  const std::optional<PageCodecKind> backend_codec = backend->page_codec();
+  if (backend_codec.has_value() && *backend_codec != options.page_codec) {
+    return Status::InvalidArgument(
+        std::string("page_codec mismatch: engine configured for ") +
+        ToString(options.page_codec) + ", backend stores " +
+        ToString(*backend_codec));
+  }
+  const size_t num_items = (num_units + per_item - 1) / per_item;
+  statuses->resize(num_items);
+  stats->resize(num_items);
+  std::vector<double> latencies(num_items, 0.0);
+  const size_t num_threads = std::min(
+      static_cast<size_t>(options.num_threads), std::max<size_t>(num_items, 1));
+
+  // One session per worker. Worker 0 reuses the caller's session, so a
+  // single-threaded run behaves exactly like a hand-written query loop.
+  std::vector<std::unique_ptr<ReachabilityIndex>> extra_sessions;
+  std::vector<ReachabilityIndex*> sessions;
+  sessions.push_back(backend);
+  for (size_t i = 1; i < num_threads; ++i) {
+    extra_sessions.push_back(backend->NewSession());
+    sessions.push_back(extra_sessions.back().get());
+  }
+  for (ReachabilityIndex* session : sessions) {
+    session->SetIoQueueDepth(options.io_queue_depth);
+    session->SetTraversalThreads(options.traversal_threads);
+    session->SetMaxReadRetries(options.max_read_retries);
+    session->SetDegradedServing(options.degraded_serving);
+  }
+
+  // Per-shard IO is reported as the delta of each session's cumulative
+  // cursors around the run, so prior traffic on a reused session never
+  // leaks into this workload's breakdown.
+  std::vector<std::vector<IoStats>> shard_io_before;
+  shard_io_before.reserve(sessions.size());
+  for (ReachabilityIndex* session : sessions) {
+    shard_io_before.push_back(session->shard_io_stats());
+  }
+  // cold_cache wins over the result cache: the paper's protocol is
+  // "measure every query cold", and a memoized answer would defeat it.
+  if (options.cold_cache) cache = nullptr;
+  const uint64_t cache_hits_before = cache != nullptr ? cache->hits() : 0;
+
+  std::atomic<size_t> next{0};
+  auto work = [&](ReachabilityIndex* session) {
+    WorkerCache worker_cache(cache, session);
+    for (size_t i = next.fetch_add(1); i < num_items; i = next.fetch_add(1)) {
+      if (options.cold_cache) session->ClearCache();
+      Stopwatch latency;
+      (*statuses)[i] = evaluate(i, session, &worker_cache, &(*stats)[i]);
+      latencies[i] = latency.ElapsedSeconds();
+    }
+  };
+
+  Stopwatch wall;
+  if (num_threads == 1) {
+    work(sessions[0]);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(num_threads);
+    for (ReachabilityIndex* session : sessions) {
+      threads.emplace_back(work, session);
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  const double wall_seconds = wall.ElapsedSeconds();
+
+  WorkloadSummary& s = *summary;
+  s.backend = backend->DescribeIndex();
+  s.num_queries = num_units;
+  s.io_queue_depth = options.io_queue_depth;
+  s.traversal_threads = std::max(options.traversal_threads, 1);
+  s.batch_sources = static_cast<int>(per_item);
+  s.page_codec = ToString(backend_codec.value_or(options.page_codec));
+  s.wall_seconds = wall_seconds;
+  s.queries_per_second =
+      wall_seconds > 0 ? static_cast<double>(num_units) / wall_seconds : 0.0;
+  // Cost totals and latencies are per item (one backend call each);
+  // failures and degradations count every query the item covers.
+  for (size_t i = 0; i < num_items; ++i) {
+    const uint64_t units = std::min(per_item, num_units - i * per_item);
+    if (!(*statuses)[i].ok()) s.failed_queries += units;
+    const QueryStats& q = (*stats)[i];
+    if (q.degraded) s.degraded_queries += units;
+    s.total_io_cost += q.io_cost;
+    s.total_pages_fetched += q.pages_fetched;
+    s.total_pool_hits += q.pool_hits;
+    s.total_items_visited += q.items_visited;
+    s.total_cpu_seconds += q.cpu_seconds;
+    s.mean_latency += latencies[i];
+    s.max_latency = std::max(s.max_latency, latencies[i]);
+  }
+  if (num_items > 0) s.mean_latency /= static_cast<double>(num_items);
+  std::sort(latencies.begin(), latencies.end());
+  s.p50_latency = Percentile(latencies, 0.50);
+  s.p95_latency = Percentile(latencies, 0.95);
+  s.p99_latency = Percentile(latencies, 0.99);
+  if (cache != nullptr) s.result_cache_hits = cache->hits() - cache_hits_before;
+  // Per-shard breakdown: delta of every session's cumulative cursors over
+  // the run, summed shard-wise across sessions.
+  for (size_t k = 0; k < sessions.size(); ++k) {
+    const std::vector<IoStats> after = sessions[k]->shard_io_stats();
+    if (after.size() > s.per_shard_io.size()) {
+      s.per_shard_io.resize(after.size());
+    }
+    for (size_t shard = 0; shard < after.size(); ++shard) {
+      IoStats delta = after[shard];
+      if (shard < shard_io_before[k].size()) {
+        delta = delta - shard_io_before[k][shard];
+      }
+      s.per_shard_io[shard] += delta;
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -86,171 +310,30 @@ QueryEngine::QueryEngine(QueryEngineOptions options)
 
 Result<WorkloadReport> QueryEngine::Run(
     ReachabilityIndex* backend, const std::vector<ReachQuery>& queries) const {
-  STREACH_CHECK(backend != nullptr);
-  // A disk backend decodes with the codec its index was built with; a
-  // run configured for a different codec is a deployment error, not
-  // something to silently paper over.
-  const std::optional<PageCodecKind> backend_codec = backend->page_codec();
-  if (backend_codec.has_value() && *backend_codec != options_.page_codec) {
-    return Status::InvalidArgument(
-        std::string("page_codec mismatch: engine configured for ") +
-        ToString(options_.page_codec) + ", backend stores " +
-        ToString(*backend_codec));
-  }
-  const size_t n = queries.size();
   WorkloadReport report;
-  report.answers.resize(n);
-  report.per_query.resize(n);
-  report.statuses.resize(n);
-  std::vector<double> latencies(n, 0.0);
-
-  const int num_threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(options_.num_threads),
-                       std::max<size_t>(n, 1)));
-
-  // One session per worker. Worker 0 reuses the caller's session, so a
-  // single-threaded run behaves exactly like a hand-written query loop.
-  std::vector<std::unique_ptr<ReachabilityIndex>> extra_sessions;
-  std::vector<ReachabilityIndex*> sessions;
-  sessions.push_back(backend);
-  for (int i = 1; i < num_threads; ++i) {
-    extra_sessions.push_back(backend->NewSession());
-    sessions.push_back(extra_sessions.back().get());
-  }
-  for (ReachabilityIndex* session : sessions) {
-    session->SetIoQueueDepth(options_.io_queue_depth);
-    session->SetTraversalThreads(options_.traversal_threads);
-    session->SetMaxReadRetries(options_.max_read_retries);
-    session->SetDegradedServing(options_.degraded_serving);
-  }
-
-  // Per-shard IO is reported as the delta of each session's cumulative
-  // cursors around the run, so prior traffic on a reused session never
-  // leaks into this workload's breakdown.
-  std::vector<std::vector<IoStats>> shard_io_before;
-  shard_io_before.reserve(sessions.size());
-  for (ReachabilityIndex* session : sessions) {
-    shard_io_before.push_back(session->shard_io_stats());
-  }
-  const uint64_t cache_hits_before =
-      result_cache_ != nullptr ? result_cache_->hits() : 0;
-
-  std::atomic<size_t> next{0};
-
-  auto worker = [&](ReachabilityIndex* session) {
-    const bool cold = options_.cold_cache;
-    // cold_cache wins over the result cache: the paper's protocol is
-    // "measure every query cold", and a memoized answer would defeat it.
-    ResultCache* cache = cold ? nullptr : result_cache_.get();
-    const std::shared_ptr<const void> identity = session->IndexIdentity();
-    // Cleared once a session reports NotSupported for ReachableSet, so
-    // the cache path is not re-probed on every query of such a backend.
-    // Backends without an index identity opt out of caching entirely.
-    bool cacheable = cache != nullptr && identity != nullptr;
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      if (cold) session->ClearCache();
-      const ReachQuery& query = queries[i];
-      Stopwatch latency;
-      bool answered = false;
-      if (cacheable) {
-        if (ResultCache::SetPtr set =
-                cache->Lookup(identity, query.source, query.interval)) {
-          report.answers[i] = AnswerFromSet(*set, query.destination);
-          report.per_query[i] = QueryStats{};  // No backend work done.
-          answered = true;
-        } else {
-          auto set_result =
-              session->ReachableSet(query.source, query.interval);
-          if (set_result.ok()) {
-            auto shared = std::make_shared<const std::vector<Timestamp>>(
-                std::move(*set_result));
-            cache->Insert(identity, query.source, query.interval, shared);
-            report.answers[i] = AnswerFromSet(*shared, query.destination);
-            report.per_query[i] = session->last_query_stats();
-            answered = true;
-          } else if (set_result.status().IsNotSupported()) {
-            cacheable = false;  // Point-query-only backend.
-          } else {
-            // This query failed; the rest of the workload keeps going.
-            report.statuses[i] = set_result.status();
-            report.per_query[i] = session->last_query_stats();
-            answered = true;
-          }
-        }
-      }
-      if (!answered) {
-        auto answer = session->Query(query);
-        if (answer.ok()) {
-          report.answers[i] = *answer;
-        } else {
-          report.statuses[i] = answer.status();
-        }
-        report.per_query[i] = session->last_query_stats();
-      }
-      latencies[i] = latency.ElapsedSeconds();
+  report.answers.resize(queries.size());
+  auto evaluate = [&](size_t i, ReachabilityIndex* session,
+                      WorkerCache* cache, QueryStats* stats) -> Status {
+    const ReachQuery& query = queries[i];
+    if (std::optional<Status> cached =
+            cache->Point(query.source, query.destination, query.interval,
+                         &report.answers[i], stats)) {
+      return *std::move(cached);
     }
+    // No usable cache: the point query, which stops at the destination.
+    Result<ReachAnswer> answer = session->Query(query);
+    *stats = session->last_query_stats();
+    return Store(std::move(answer), &report.answers[i]);
   };
-
-  Stopwatch wall;
-  if (num_threads == 1) {
-    worker(sessions[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(num_threads));
-    for (int i = 0; i < num_threads; ++i) {
-      threads.emplace_back(worker, sessions[static_cast<size_t>(i)]);
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  const double wall_seconds = wall.ElapsedSeconds();
-
+  STREACH_RETURN_NOT_OK(Schedule(backend, options_, result_cache_.get(),
+                                 queries.size(), /*per_item=*/1, evaluate,
+                                 &report.statuses, &report.per_query,
+                                 &report.summary));
   WorkloadSummary& s = report.summary;
-  s.backend = backend->DescribeIndex();
-  s.num_queries = n;
-  s.family_counts[static_cast<size_t>(QueryFamily::kBoolean)] = n;
-  s.io_queue_depth = options_.io_queue_depth;
-  s.traversal_threads = std::max(options_.traversal_threads, 1);
-  s.page_codec = ToString(backend_codec.value_or(options_.page_codec));
-  s.wall_seconds = wall_seconds;
-  s.queries_per_second =
-      wall_seconds > 0 ? static_cast<double>(n) / wall_seconds : 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!report.statuses[i].ok()) {
-      ++s.failed_queries;
-    } else if (report.answers[i].reachable) {
+  s.family_counts[static_cast<size_t>(QueryFamily::kBoolean)] = queries.size();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (report.statuses[i].ok() && report.answers[i].reachable) {
       ++s.num_reachable;
-    }
-    const QueryStats& q = report.per_query[i];
-    if (q.degraded) ++s.degraded_queries;
-    s.total_io_cost += q.io_cost;
-    s.total_pages_fetched += q.pages_fetched;
-    s.total_pool_hits += q.pool_hits;
-    s.total_items_visited += q.items_visited;
-    s.total_cpu_seconds += q.cpu_seconds;
-    s.mean_latency += latencies[i];
-    s.max_latency = std::max(s.max_latency, latencies[i]);
-  }
-  if (n > 0) s.mean_latency /= static_cast<double>(n);
-  std::sort(latencies.begin(), latencies.end());
-  s.p50_latency = Percentile(latencies, 0.50);
-  s.p95_latency = Percentile(latencies, 0.95);
-  s.p99_latency = Percentile(latencies, 0.99);
-  if (result_cache_ != nullptr) {
-    s.result_cache_hits = result_cache_->hits() - cache_hits_before;
-  }
-  // Per-shard breakdown: delta of every session's cumulative cursors over
-  // the run, summed shard-wise across sessions.
-  for (size_t k = 0; k < sessions.size(); ++k) {
-    const std::vector<IoStats> after = sessions[k]->shard_io_stats();
-    if (after.size() > s.per_shard_io.size()) {
-      s.per_shard_io.resize(after.size());
-    }
-    for (size_t shard = 0; shard < after.size(); ++shard) {
-      IoStats delta = after[shard];
-      if (shard < shard_io_before[k].size()) {
-        delta = delta - shard_io_before[k][shard];
-      }
-      s.per_shard_io[shard] += delta;
     }
   }
   return report;
@@ -259,140 +342,32 @@ Result<WorkloadReport> QueryEngine::Run(
 Result<ClosureWorkloadReport> QueryEngine::RunClosures(
     ReachabilityIndex* backend, const std::vector<ObjectId>& sources,
     TimeInterval interval) const {
-  STREACH_CHECK(backend != nullptr);
-  const std::optional<PageCodecKind> backend_codec = backend->page_codec();
-  if (backend_codec.has_value() && *backend_codec != options_.page_codec) {
-    return Status::InvalidArgument(
-        std::string("page_codec mismatch: engine configured for ") +
-        ToString(options_.page_codec) + ", backend stores " +
-        ToString(*backend_codec));
-  }
   const size_t n = sources.size();
   const size_t batch =
       static_cast<size_t>(std::max(options_.batch_sources, 1));
-  const size_t num_batches = (n + batch - 1) / batch;
-
   ClosureWorkloadReport report;
   report.sets.resize(n);
-  report.per_batch.resize(num_batches);
-  std::vector<double> latencies(num_batches, 0.0);
-
-  const int num_threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(options_.num_threads),
-                       std::max<size_t>(num_batches, 1)));
-
-  // Sessions mirror Run(): worker 0 reuses the caller's session so a
-  // single-threaded run is a hand-written ReachableSets loop.
-  std::vector<std::unique_ptr<ReachabilityIndex>> extra_sessions;
-  std::vector<ReachabilityIndex*> sessions;
-  sessions.push_back(backend);
-  for (int i = 1; i < num_threads; ++i) {
-    extra_sessions.push_back(backend->NewSession());
-    sessions.push_back(extra_sessions.back().get());
-  }
-  for (ReachabilityIndex* session : sessions) {
-    session->SetIoQueueDepth(options_.io_queue_depth);
-    session->SetTraversalThreads(options_.traversal_threads);
-    session->SetMaxReadRetries(options_.max_read_retries);
-    session->SetDegradedServing(options_.degraded_serving);
-  }
-
-  std::vector<std::vector<IoStats>> shard_io_before;
-  shard_io_before.reserve(sessions.size());
-  for (ReachabilityIndex* session : sessions) {
-    shard_io_before.push_back(session->shard_io_stats());
-  }
-
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::mutex error_mutex;  // Guards first_error only; never on the hot path.
-  Status first_error = Status::OK();
-
-  auto worker = [&](ReachabilityIndex* session) {
-    for (size_t b = next.fetch_add(1); b < num_batches;
-         b = next.fetch_add(1)) {
-      if (failed.load(std::memory_order_relaxed)) return;  // Stop early.
-      if (options_.cold_cache) session->ClearCache();
-      const size_t begin = b * batch;
-      const size_t end = std::min(begin + batch, n);
-      const std::vector<ObjectId> group(
-          sources.begin() + static_cast<ptrdiff_t>(begin),
-          sources.begin() + static_cast<ptrdiff_t>(end));
-      Stopwatch latency;
-      auto sets = session->ReachableSets(group, interval);
-      if (!sets.ok()) {
-        std::lock_guard<std::mutex> guard(error_mutex);
-        if (first_error.ok()) first_error = sets.status();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-      latencies[b] = latency.ElapsedSeconds();
-      report.per_batch[b] = session->last_query_stats();
-      for (size_t i = begin; i < end; ++i) {
-        report.sets[i] = std::move((*sets)[i - begin]);
-      }
-    }
+  auto evaluate = [&](size_t b, ReachabilityIndex* session, WorkerCache*,
+                      QueryStats* stats) -> Status {
+    const auto first = static_cast<ptrdiff_t>(b * batch);
+    const auto last = static_cast<ptrdiff_t>(std::min(b * batch + batch, n));
+    auto sets = session->ReachableSets(
+        std::vector<ObjectId>(sources.begin() + first, sources.begin() + last),
+        interval);
+    RecordStats(*session, sets.status(), stats);
+    if (!sets.ok()) return sets.status();  // The batch's sets stay empty.
+    std::move(sets->begin(), sets->end(), report.sets.begin() + first);
+    return Status::OK();
   };
-
-  Stopwatch wall;
-  if (num_threads == 1) {
-    worker(sessions[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(num_threads));
-    for (int i = 0; i < num_threads; ++i) {
-      threads.emplace_back(worker, sessions[static_cast<size_t>(i)]);
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  const double wall_seconds = wall.ElapsedSeconds();
-
-  if (!first_error.ok()) return first_error;
-
+  // Closures never touch the result cache.
+  STREACH_RETURN_NOT_OK(Schedule(backend, options_, /*cache=*/nullptr, n,
+                                 batch, evaluate, &report.statuses,
+                                 &report.per_batch, &report.summary));
   WorkloadSummary& s = report.summary;
-  s.backend = backend->DescribeIndex();
-  s.num_queries = n;  // One closure per source, however it was batched.
   s.family_counts[static_cast<size_t>(QueryFamily::kBoolean)] = n;
-  s.io_queue_depth = options_.io_queue_depth;
-  s.traversal_threads = std::max(options_.traversal_threads, 1);
-  s.batch_sources = static_cast<int>(batch);
-  s.page_codec = ToString(backend_codec.value_or(options_.page_codec));
-  s.wall_seconds = wall_seconds;
-  s.queries_per_second =
-      wall_seconds > 0 ? static_cast<double>(n) / wall_seconds : 0.0;
   for (const std::vector<Timestamp>& set : report.sets) {
     for (Timestamp t : set) {
       if (t != kInvalidTime) ++s.num_reachable;
-    }
-  }
-  // Cost totals sum one entry per batch (each batch is one backend
-  // sweep); the latency distribution is likewise per batch.
-  for (size_t b = 0; b < num_batches; ++b) {
-    const QueryStats& q = report.per_batch[b];
-    s.total_io_cost += q.io_cost;
-    s.total_pages_fetched += q.pages_fetched;
-    s.total_pool_hits += q.pool_hits;
-    s.total_items_visited += q.items_visited;
-    s.total_cpu_seconds += q.cpu_seconds;
-    s.mean_latency += latencies[b];
-    s.max_latency = std::max(s.max_latency, latencies[b]);
-  }
-  if (num_batches > 0) s.mean_latency /= static_cast<double>(num_batches);
-  std::sort(latencies.begin(), latencies.end());
-  s.p50_latency = Percentile(latencies, 0.50);
-  s.p95_latency = Percentile(latencies, 0.95);
-  s.p99_latency = Percentile(latencies, 0.99);
-  for (size_t k = 0; k < sessions.size(); ++k) {
-    const std::vector<IoStats> after = sessions[k]->shard_io_stats();
-    if (after.size() > s.per_shard_io.size()) {
-      s.per_shard_io.resize(after.size());
-    }
-    for (size_t shard = 0; shard < after.size(); ++shard) {
-      IoStats delta = after[shard];
-      if (shard < shard_io_before[k].size()) {
-        delta = delta - shard_io_before[k][shard];
-      }
-      s.per_shard_io[shard] += delta;
     }
   }
   return report;
@@ -400,176 +375,41 @@ Result<ClosureWorkloadReport> QueryEngine::RunClosures(
 
 Result<FamilyWorkloadReport> QueryEngine::RunFamilies(
     ReachabilityIndex* backend, const std::vector<QuerySpec>& specs) const {
-  STREACH_CHECK(backend != nullptr);
-  const std::optional<PageCodecKind> backend_codec = backend->page_codec();
-  if (backend_codec.has_value() && *backend_codec != options_.page_codec) {
-    return Status::InvalidArgument(
-        std::string("page_codec mismatch: engine configured for ") +
-        ToString(options_.page_codec) + ", backend stores " +
-        ToString(*backend_codec));
-  }
-  const size_t n = specs.size();
   FamilyWorkloadReport report;
-  report.answers.resize(n);
-  report.per_query.resize(n);
-  report.statuses.resize(n);
-  std::vector<double> latencies(n, 0.0);
-
-  const int num_threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(options_.num_threads),
-                       std::max<size_t>(n, 1)));
-
-  // Sessions mirror Run(): worker 0 reuses the caller's session so a
-  // single-threaded run is a hand-written EvaluateFamily loop.
-  std::vector<std::unique_ptr<ReachabilityIndex>> extra_sessions;
-  std::vector<ReachabilityIndex*> sessions;
-  sessions.push_back(backend);
-  for (int i = 1; i < num_threads; ++i) {
-    extra_sessions.push_back(backend->NewSession());
-    sessions.push_back(extra_sessions.back().get());
-  }
-  for (ReachabilityIndex* session : sessions) {
-    session->SetIoQueueDepth(options_.io_queue_depth);
-    session->SetTraversalThreads(options_.traversal_threads);
-    session->SetMaxReadRetries(options_.max_read_retries);
-    session->SetDegradedServing(options_.degraded_serving);
-  }
-
-  std::vector<std::vector<IoStats>> shard_io_before;
-  shard_io_before.reserve(sessions.size());
-  for (ReachabilityIndex* session : sessions) {
-    shard_io_before.push_back(session->shard_io_stats());
-  }
-  const uint64_t cache_hits_before =
-      result_cache_ != nullptr ? result_cache_->hits() : 0;
-
-  std::atomic<size_t> next{0};
-
-  auto worker = [&](ReachabilityIndex* session) {
-    const bool cold = options_.cold_cache;
-    ResultCache* cache = cold ? nullptr : result_cache_.get();
-    const std::shared_ptr<const void> identity = session->IndexIdentity();
-    // Boolean specs share Run()'s set-cache path, including its "stop
-    // probing a point-query-only backend" downgrade; profile families
-    // only cache when the backend has a native ConstrainedProfile (a
-    // NotSupported there fails the whole spec anyway, cache or not).
-    bool set_cacheable = cache != nullptr && identity != nullptr;
-    const bool profile_cacheable = cache != nullptr && identity != nullptr;
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      if (cold) session->ClearCache();
-      const QuerySpec& spec = specs[i];
-      Stopwatch latency;
-      bool answered = false;
-      // Records a per-spec failure; the rest of the workload keeps going.
-      auto fail_spec = [&](const Status& status) {
-        report.statuses[i] = status;
-        report.per_query[i] = session->last_query_stats();
-        answered = true;
-      };
-      if (spec.family == QueryFamily::kBoolean && set_cacheable) {
-        if (ResultCache::SetPtr set =
-                cache->Lookup(identity, spec.source, spec.interval)) {
-          report.answers[i].family = spec.family;
-          report.answers[i].point = AnswerFromSet(*set, spec.destination);
-          report.per_query[i] = QueryStats{};  // No backend work done.
-          answered = true;
-        } else {
-          auto set_result = session->ReachableSet(spec.source, spec.interval);
-          if (set_result.ok()) {
-            auto shared = std::make_shared<const std::vector<Timestamp>>(
-                std::move(*set_result));
-            cache->Insert(identity, spec.source, spec.interval, shared);
-            report.answers[i].family = spec.family;
-            report.answers[i].point = AnswerFromSet(*shared, spec.destination);
-            report.per_query[i] = session->last_query_stats();
-            answered = true;
-          } else if (set_result.status().IsNotSupported()) {
-            set_cacheable = false;  // Point-query-only backend.
-          } else {
-            fail_spec(set_result.status());
-          }
+  report.answers.resize(specs.size());
+  auto evaluate = [&](size_t i, ReachabilityIndex* session,
+                      WorkerCache* cache, QueryStats* stats) -> Status {
+    const QuerySpec& spec = specs[i];
+    FamilyAnswer& answer = report.answers[i];
+    switch (spec.family) {
+      case QueryFamily::kBoolean:
+        if (std::optional<Status> cached =
+                cache->Point(spec.source, spec.destination, spec.interval,
+                             &answer.point, stats)) {
+          return *std::move(cached);
         }
-      } else if (profile_cacheable &&
-                 (spec.family == QueryFamily::kDecayReach ||
-                  spec.family == QueryFamily::kKHopReach ||
-                  spec.family == QueryFamily::kThresholdReach)) {
-        auto hops = ResolveHops(spec);
-        if (!hops.ok()) {
-          fail_spec(hops.status());
-        } else if (ResultCache::ProfilePtr profile = cache->LookupProfile(
-                       identity, spec.source, spec.interval, *hops)) {
-          report.answers[i] = AnswerFromProfile(spec, *profile);
-          report.per_query[i] = QueryStats{};  // No backend work done.
-          answered = true;
-        } else {
-          auto profile_result =
-              session->ConstrainedProfile(spec.source, spec.interval, *hops);
-          if (!profile_result.ok()) {
-            fail_spec(profile_result.status());
-          } else {
-            auto shared =
-                std::make_shared<const std::vector<ReachProfileEntry>>(
-                    std::move(*profile_result));
-            cache->InsertProfile(identity, spec.source, spec.interval, *hops,
-                                 shared);
-            report.answers[i] = AnswerFromProfile(spec, *shared);
-            report.per_query[i] = session->last_query_stats();
-            answered = true;
-          }
-        }
-      }
-      if (!answered) {
-        auto answer = EvaluateFamily(session, spec);
-        if (answer.ok()) {
-          report.answers[i] = std::move(*answer);
-          report.per_query[i] = session->last_query_stats();
-        } else {
-          fail_spec(answer.status());
-        }
-      }
-      latencies[i] = latency.ElapsedSeconds();
+        break;  // Uncached: EvaluateFamily's set-first path.
+      case QueryFamily::kDecayReach:
+      case QueryFamily::kKHopReach:
+      case QueryFamily::kThresholdReach:
+        return Store(cache->Profile(spec, stats), &answer);
+      case QueryFamily::kTopKSources:
+        break;  // Uncached: a top-k answer is already an aggregate.
     }
+    Result<FamilyAnswer> evaluated = EvaluateFamily(session, spec);
+    RecordStats(*session, evaluated.status(), stats);
+    return Store(std::move(evaluated), &answer);
   };
-
-  Stopwatch wall;
-  if (num_threads == 1) {
-    worker(sessions[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(num_threads));
-    for (int i = 0; i < num_threads; ++i) {
-      threads.emplace_back(worker, sessions[static_cast<size_t>(i)]);
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  const double wall_seconds = wall.ElapsedSeconds();
-
+  STREACH_RETURN_NOT_OK(Schedule(backend, options_, result_cache_.get(),
+                                 specs.size(), /*per_item=*/1, evaluate,
+                                 &report.statuses, &report.per_query,
+                                 &report.summary));
   WorkloadSummary& s = report.summary;
-  s.backend = backend->DescribeIndex();
-  s.num_queries = n;
-  s.io_queue_depth = options_.io_queue_depth;
-  s.traversal_threads = std::max(options_.traversal_threads, 1);
-  s.page_codec = ToString(backend_codec.value_or(options_.page_codec));
-  s.wall_seconds = wall_seconds;
-  s.queries_per_second =
-      wall_seconds > 0 ? static_cast<double>(n) / wall_seconds : 0.0;
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < specs.size(); ++i) {
     // Failed specs count under the family that was ASKED (their answer
     // slot is default-constructed) and contribute no reach counts.
     ++s.family_counts[static_cast<size_t>(specs[i].family)];
-    const QueryStats& q = report.per_query[i];
-    if (q.degraded) ++s.degraded_queries;
-    s.total_io_cost += q.io_cost;
-    s.total_pages_fetched += q.pages_fetched;
-    s.total_pool_hits += q.pool_hits;
-    s.total_items_visited += q.items_visited;
-    s.total_cpu_seconds += q.cpu_seconds;
-    s.mean_latency += latencies[i];
-    s.max_latency = std::max(s.max_latency, latencies[i]);
-    if (!report.statuses[i].ok()) {
-      ++s.failed_queries;
-      continue;
-    }
+    if (!report.statuses[i].ok()) continue;
     const FamilyAnswer& answer = report.answers[i];
     switch (answer.family) {
       case QueryFamily::kBoolean:
@@ -587,27 +427,6 @@ Result<FamilyWorkloadReport> QueryEngine::RunFamilies(
           s.num_reachable += entry.reach_count;
         }
         break;
-    }
-  }
-  if (n > 0) s.mean_latency /= static_cast<double>(n);
-  std::sort(latencies.begin(), latencies.end());
-  s.p50_latency = Percentile(latencies, 0.50);
-  s.p95_latency = Percentile(latencies, 0.95);
-  s.p99_latency = Percentile(latencies, 0.99);
-  if (result_cache_ != nullptr) {
-    s.result_cache_hits = result_cache_->hits() - cache_hits_before;
-  }
-  for (size_t k = 0; k < sessions.size(); ++k) {
-    const std::vector<IoStats> after = sessions[k]->shard_io_stats();
-    if (after.size() > s.per_shard_io.size()) {
-      s.per_shard_io.resize(after.size());
-    }
-    for (size_t shard = 0; shard < after.size(); ++shard) {
-      IoStats delta = after[shard];
-      if (shard < shard_io_before[k].size()) {
-        delta = delta - shard_io_before[k][shard];
-      }
-      s.per_shard_io[shard] += delta;
     }
   }
   return report;

@@ -66,27 +66,6 @@ struct QueryEngineOptions {
   /// reads each hot page once instead of once per source.
   int batch_sources = 1;
 
-  /// \name Streaming-ingestion knobs
-  ///
-  /// Consumed by call sites standing up a streaming-backed workload
-  /// (`MakeStreamingOptions` in stream/streaming_options.h copies them,
-  /// plus `page_codec` above, into the ingestor's `StreamingOptions`);
-  /// the engine itself does not alter execution based on them. Answers
-  /// never depend on either — any seal schedule and any arrival order
-  /// within the lateness bound produce byte-identical results.
-  /// @{
-
-  /// Stream ticks between automatic head seals (width of the sealed
-  /// segments' time grid). <= 0 keeps the `StreamingOptions` default.
-  int seal_interval_ticks = 0;
-
-  /// Bounded arrival disorder the head tolerates: an appended contact
-  /// run may close up to this many ticks before the latest close tick
-  /// already seen. < 0 keeps the `StreamingOptions` default (0, the
-  /// `ContactSink` in-order contract).
-  int max_lateness_ticks = -1;
-  /// @}
-
   /// Bounded retry budget for transient (`Unavailable`) read failures,
   /// applied to every worker session before the run
   /// (`ReachabilityIndex::SetMaxReadRetries`). A transiently failing
@@ -143,11 +122,12 @@ struct WorkloadSummary {
   double max_latency = 0.0;
   /// Point queries answered from the engine's result cache.
   uint64_t result_cache_hits = 0;
-  /// Queries whose per-query status is an error (`Run`/`RunFamilies`
-  /// record them in the report's `statuses` and keep going; 0 on every
-  /// healthy run).
+  /// Queries whose status is an error (every entry point records them
+  /// in the report's `statuses` and keeps going; a failed closure batch
+  /// counts each of its sources; 0 on every healthy run).
   uint64_t failed_queries = 0;
-  /// Queries answered under degraded serving (`QueryStats::degraded`).
+  /// Queries answered under degraded serving (`QueryStats::degraded`;
+  /// a degraded closure batch counts each of its sources).
   uint64_t degraded_queries = 0;
   /// Queries per family over the run, indexed by the `QueryFamily` tag
   /// value. `Run`/`RunClosures` workloads count as all-boolean;
@@ -250,11 +230,14 @@ struct FamilyWorkloadReport {
 
 /// Everything a closure-workload run produces. `sets[i]` is the full
 /// reachable set of the i-th input source independent of execution order;
-/// `per_batch[b]` covers the b-th batch of `batch_sources` consecutive
-/// sources (one backend sweep each).
+/// `per_batch[b]` and `statuses[b]` cover the b-th batch of
+/// `batch_sources` consecutive sources (one backend sweep each). A failed
+/// batch keeps its error in `statuses[b]` and leaves its sources' sets
+/// empty, while the other batches still run.
 struct ClosureWorkloadReport {
   std::vector<std::vector<Timestamp>> sets;
   std::vector<QueryStats> per_batch;
+  std::vector<Status> statuses;
   WorkloadSummary summary;
 };
 
@@ -264,9 +247,12 @@ struct ClosureWorkloadReport {
 /// Concurrency model: the backend's immutable structure (simulated disk
 /// pages, in-memory directories) is shared read-only; every worker thread
 /// owns a private session — buffer pool, IO cursor, stats slot — created
-/// with `NewSession()`. Threads claim queries from a shared atomic
-/// counter, and results land in pre-sized slots, so no locks are held on
-/// the query path and answers are byte-identical to a sequential run.
+/// with `NewSession()` (worker 0 reuses the caller's). Threads claim
+/// queries (or closure batches) from a shared atomic counter, and results
+/// land in pre-sized slots, so no locks are held on the query path and
+/// answers are byte-identical to a sequential run. All three entry points
+/// share this one loop; they differ only in how one item is evaluated and
+/// how its answer is tallied.
 class QueryEngine {
  public:
   explicit QueryEngine(QueryEngineOptions options = {});
@@ -288,24 +274,29 @@ class QueryEngine {
   /// batch, so a batch's internal page reuse is the only warmth).
   /// Latency percentiles in the summary are per batch. Answers are
   /// byte-identical for every num_threads / traversal_threads /
-  /// batch_sources combination.
+  /// batch_sources combination. A batch whose sweep fails (surfaced
+  /// fault, NotSupported) records its error in `report.statuses[b]`, and
+  /// `summary.failed_queries` counts its sources; as in `Run`, only setup
+  /// errors fail the call itself.
   Result<ClosureWorkloadReport> RunClosures(
       ReachabilityIndex* backend, const std::vector<ObjectId>& sources,
       TimeInterval interval) const;
 
   /// Runs a mixed-family workload (engine/query_spec.h): boolean specs
-  /// follow the exact `Run` path (result-cached reachable sets, plain
-  /// `Query` fallback for point-only backends), decay / k-hop / threshold
-  /// specs evaluate through `ConstrainedProfile` with the resolved
+  /// share `Run`'s result-cached reachable sets (uncached, they go
+  /// through `EvaluateFamily`'s set-first path, which falls back to
+  /// `Query` on point-only backends), decay / k-hop / threshold specs
+  /// evaluate through `ConstrainedProfile` with the resolved
   /// `HopConstraints` joining the cache key, and top-k specs rank one
   /// `ReachableSets` batch over their candidates (uncached — a top-k
   /// answer is already an aggregate). Answers are byte-identical at every
   /// num_threads and with the cache on or off; per-spec failures
   /// (including a family the backend cannot serve) land in
-  /// `report.statuses[i]` like `Run`'s, without aborting. The summary's
-  /// `num_reachable` totals reached point answers (boolean, threshold),
-  /// finite profile entries (decay, k-hop), and the reach counts of the
-  /// ranked entries (top-k).
+  /// `report.statuses[i]` like `Run`'s, without aborting. A spec rejected
+  /// before any backend work (bad arguments, NotSupported) reports empty
+  /// `per_query[i]` stats. The summary's `num_reachable` totals reached
+  /// point answers (boolean, threshold), finite profile entries (decay,
+  /// k-hop), and the reach counts of the ranked entries (top-k).
   Result<FamilyWorkloadReport> RunFamilies(
       ReachabilityIndex* backend, const std::vector<QuerySpec>& specs) const;
 

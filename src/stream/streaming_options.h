@@ -5,7 +5,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "engine/query_engine.h"
 #include "storage/block_device.h"
 #include "storage/build_options.h"
 
@@ -102,27 +101,6 @@ inline Status ValidateStreamingOptions(const StreamingOptions& options) {
     return Status::InvalidArgument("streaming: block_contacts must be >= 1");
   }
   return ValidateBuildOptions(options.build);
-}
-
-/// Bridges a workload's engine configuration to the streaming tier:
-/// starts from defaults for `num_objects` over `span`, then applies the
-/// engine's `seal_interval_ticks` / `max_lateness_ticks` (where set) and
-/// its `page_codec` — so an engine run and the ingestor feeding it can
-/// never disagree on the decode assumption.
-inline StreamingOptions MakeStreamingOptions(
-    size_t num_objects, TimeInterval span,
-    const QueryEngineOptions& engine) {
-  StreamingOptions options;
-  options.num_objects = num_objects;
-  options.span = span;
-  if (engine.seal_interval_ticks > 0) {
-    options.seal_interval_ticks = engine.seal_interval_ticks;
-  }
-  if (engine.max_lateness_ticks >= 0) {
-    options.max_lateness_ticks = engine.max_lateness_ticks;
-  }
-  options.build.page_codec = engine.page_codec;
-  return options;
 }
 
 }  // namespace streach

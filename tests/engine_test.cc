@@ -539,5 +539,102 @@ TEST_F(EngineTest, ColdCacheModeRefetchesEveryQuery) {
             cold_report->summary.total_pages_fetched);
 }
 
+TEST_F(EngineTest, EntryPointsShareOneFailureContract) {
+  const TimeInterval window(20, 200);
+  QueryEngineOptions options;
+  options.num_threads = 8;  // More workers than any workload below.
+  options.batch_sources = 2;
+  const QueryEngine engine(options);
+  auto grid = MakeReachGridBackend(stack_->grid);
+
+  // Empty inputs: healthy, empty reports from all three entry points.
+  const auto no_queries = engine.Run(grid.get(), {});
+  ASSERT_TRUE(no_queries.ok());
+  EXPECT_TRUE(no_queries->answers.empty());
+  EXPECT_TRUE(no_queries->statuses.empty());
+  EXPECT_EQ(no_queries->summary.num_queries, 0u);
+  const auto no_specs = engine.RunFamilies(grid.get(), {});
+  ASSERT_TRUE(no_specs.ok());
+  EXPECT_TRUE(no_specs->answers.empty());
+  EXPECT_TRUE(no_specs->statuses.empty());
+  EXPECT_EQ(no_specs->summary.num_queries, 0u);
+  const auto no_sources = engine.RunClosures(grid.get(), {}, window);
+  ASSERT_TRUE(no_sources.ok());
+  EXPECT_TRUE(no_sources->sets.empty());
+  EXPECT_TRUE(no_sources->per_batch.empty());
+  EXPECT_TRUE(no_sources->statuses.empty());
+  EXPECT_EQ(no_sources->summary.num_queries, 0u);
+
+  // Three items on eight workers answer like a sequential run.
+  const std::vector<ReachQuery> queries = MakeQueries(3, 4242);
+  std::vector<QuerySpec> specs;
+  std::vector<ObjectId> sources;
+  for (const ReachQuery& q : queries) {
+    QuerySpec spec;
+    spec.source = q.source;
+    spec.destination = q.destination;
+    spec.interval = q.interval;
+    specs.push_back(spec);
+    sources.push_back(q.source);
+  }
+  const auto run = engine.Run(grid.get(), queries);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->summary.failed_queries, 0u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const ReachAnswer expected =
+        BruteForceReach(*stack_->network, queries[i].source,
+                        queries[i].destination, queries[i].interval);
+    EXPECT_EQ(run->answers[i].reachable, expected.reachable) << i;
+  }
+  const auto families = engine.RunFamilies(grid.get(), specs);
+  ASSERT_TRUE(families.ok());
+  EXPECT_EQ(families->summary.failed_queries, 0u);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(families->answers[i].point.reachable,
+              run->answers[i].reachable)
+        << i;
+  }
+  const auto closures = engine.RunClosures(grid.get(), sources, window);
+  ASSERT_TRUE(closures.ok());
+  EXPECT_EQ(closures->statuses.size(), 2u);
+  EXPECT_EQ(closures->summary.failed_queries, 0u);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_EQ(closures->sets[i],
+              BruteForceClosure(*stack_->network, sources[i], window))
+        << i;
+  }
+
+  // GRAIL answers point queries only. Its closure batches fail one by
+  // one with NotSupported, counted per source, and the call succeeds.
+  auto grail = MakeGrailBackend(stack_->grail, GrailMode::kDisk);
+  const auto grail_closures = engine.RunClosures(grail.get(), sources, window);
+  ASSERT_TRUE(grail_closures.ok()) << grail_closures.status().ToString();
+  ASSERT_EQ(grail_closures->statuses.size(), 2u);
+  for (const Status& status : grail_closures->statuses) {
+    EXPECT_TRUE(status.IsNotSupported()) << status.ToString();
+  }
+  for (const std::vector<Timestamp>& set : grail_closures->sets) {
+    EXPECT_TRUE(set.empty());
+  }
+  EXPECT_EQ(grail_closures->summary.failed_queries, sources.size());
+  EXPECT_EQ(grail_closures->summary.num_reachable, 0u);
+  EXPECT_EQ(grail_closures->summary.total_pages_fetched, 0u);
+  const auto grail_run = engine.Run(grail.get(), queries);
+  ASSERT_TRUE(grail_run.ok());
+  EXPECT_EQ(grail_run->summary.failed_queries, 0u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(grail_run->answers[i].reachable, run->answers[i].reachable)
+        << i;
+  }
+  QuerySpec khop = specs[0];
+  khop.family = QueryFamily::kKHopReach;
+  const auto grail_families =
+      engine.RunFamilies(grail.get(), {specs[0], khop});
+  ASSERT_TRUE(grail_families.ok());
+  EXPECT_TRUE(grail_families->statuses[0].ok());
+  EXPECT_TRUE(grail_families->statuses[1].IsNotSupported());
+  EXPECT_EQ(grail_families->summary.failed_queries, 1u);
+}
+
 }  // namespace
 }  // namespace streach

@@ -30,6 +30,7 @@
 #include "common/encoding.h"
 #include "engine/backends.h"
 #include "engine/query_engine.h"
+#include "engine/query_spec.h"
 #include "engine/reachability_index.h"
 #include "generators/random_waypoint.h"
 #include "join/contact_extractor.h"
@@ -442,12 +443,35 @@ TEST(FaultMatrix, TransientFaultsMaskedWithinBudgetSurfacedBeyondIt) {
 
 TEST(FaultMatrix, PermanentFaultsSurfaceAsIOErrorsDespiteRetries) {
   const Matrix m = MakeMatrixInputs();
+  // The same queries as boolean specs, and closures of ten of their
+  // sources in batches of 3 (the last batch holds one source).
+  std::vector<QuerySpec> specs;
+  std::vector<ObjectId> sources;
+  for (const ReachQuery& q : m.queries) {
+    QuerySpec spec;
+    spec.source = q.source;
+    spec.destination = q.destination;
+    spec.interval = q.interval;
+    specs.push_back(spec);
+    if (sources.size() < 10) sources.push_back(q.source);
+  }
+  constexpr size_t kBatch = 3;
+  QueryEngineOptions closure_options;
+  closure_options.batch_sources = static_cast<int>(kBatch);
   for (BackendVariant& variant :
        BuildVariants(m, /*num_shards=*/4, PageCodecKind::kRaw)) {
     auto baseline_session = variant.session();
     const auto baseline =
         QueryEngine().Run(baseline_session.get(), m.queries);
     ASSERT_TRUE(baseline.ok());
+    const auto baseline_families =
+        QueryEngine().RunFamilies(baseline_session.get(), specs);
+    ASSERT_TRUE(baseline_families.ok());
+    ASSERT_EQ(baseline_families->summary.failed_queries, 0u);
+    const auto baseline_closures = QueryEngine(closure_options).RunClosures(
+        baseline_session.get(), sources, m.store->span());
+    ASSERT_TRUE(baseline_closures.ok());
+    ASSERT_EQ(baseline_closures->summary.failed_queries, 0u);
 
     FaultInjectorOptions fault_options;
     fault_options.seed = 77;
@@ -472,6 +496,53 @@ TEST(FaultMatrix, PermanentFaultsSurfaceAsIOErrorsDespiteRetries) {
             << report->statuses[i].ToString();
       }
     }
+
+    // RunFamilies and RunClosures keep the same contract: a failed spec
+    // or batch records its error and the run goes on.
+    auto family_session = variant.session();
+    const auto families =
+        QueryEngine(engine_options).RunFamilies(family_session.get(), specs);
+    ASSERT_TRUE(families.ok()) << variant.label;
+    uint64_t failed_specs = 0;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      if (families->statuses[i].ok()) {
+        EXPECT_EQ(families->answers[i], baseline_families->answers[i])
+            << variant.label << " spec " << i;
+      } else {
+        EXPECT_TRUE(families->statuses[i].IsIOError())
+            << families->statuses[i].ToString();
+        ++failed_specs;
+      }
+    }
+    EXPECT_EQ(families->summary.failed_queries, failed_specs);
+
+    QueryEngineOptions faulted_closures = closure_options;
+    faulted_closures.max_read_retries = engine_options.max_read_retries;
+    auto closure_session = variant.session();
+    const auto closures = QueryEngine(faulted_closures)
+                              .RunClosures(closure_session.get(), sources,
+                                           m.store->span());
+    ASSERT_TRUE(closures.ok()) << variant.label << ": "
+                               << closures.status().ToString();
+    ASSERT_EQ(closures->statuses.size(),
+              (sources.size() + kBatch - 1) / kBatch);
+    uint64_t failed_sources = 0;
+    for (size_t b = 0; b < closures->statuses.size(); ++b) {
+      const size_t end = std::min(b * kBatch + kBatch, sources.size());
+      const Status& status = closures->statuses[b];
+      EXPECT_TRUE(status.ok() || status.IsIOError()) << status.ToString();
+      for (size_t i = b * kBatch; i < end; ++i) {
+        if (status.ok()) {
+          EXPECT_EQ(closures->sets[i], baseline_closures->sets[i])
+              << variant.label << " source " << i;
+        } else {
+          EXPECT_TRUE(closures->sets[i].empty()) << variant.label;
+          ++failed_sources;
+        }
+      }
+    }
+    EXPECT_GT(failed_sources, 0u) << variant.label;
+    EXPECT_EQ(closures->summary.failed_queries, failed_sources);
 
     for (const StorageTopology* topology : variant.topologies) {
       topology->AttachFaultInjector(nullptr);
@@ -551,6 +622,27 @@ TEST(Quarantine, DegradedServingSkipsQuarantinedSegmentsAndFlags) {
   for (const ReachAnswer& answer : report->answers) {
     if (!answer.reachable) EXPECT_EQ(answer.arrival_time, kInvalidTime);
   }
+
+  // Closure batches degrade the same way, counted per source: batches of
+  // 2 over 5 sources, the last holding one.
+  QueryEngineOptions closure_options = engine_options;
+  closure_options.batch_sources = 2;
+  const std::vector<ObjectId> sources = {0, 1, 2, 3, 4};
+  const auto closures = QueryEngine(closure_options)
+                            .RunClosures(session.get(), sources,
+                                         m.store->span());
+  ASSERT_TRUE(closures.ok()) << closures.status().ToString();
+  EXPECT_EQ(closures->summary.failed_queries, 0u);
+  uint64_t degraded_sources = 0;
+  for (size_t b = 0; b < closures->per_batch.size(); ++b) {
+    EXPECT_TRUE(closures->statuses[b].ok())
+        << closures->statuses[b].ToString();
+    if (closures->per_batch[b].degraded) {
+      degraded_sources += std::min<size_t>(2, sources.size() - 2 * b);
+    }
+  }
+  EXPECT_EQ(degraded_sources, sources.size());
+  EXPECT_EQ(closures->summary.degraded_queries, degraded_sources);
 }
 
 }  // namespace

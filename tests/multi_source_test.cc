@@ -329,6 +329,7 @@ TEST_F(MultiSourceTest, EngineRunClosuresIdenticalAcrossAllKnobs) {
         const QueryEngine engine(options);
         auto report = engine.RunClosures(backend.get(), sources, Window());
         ASSERT_TRUE(report.ok());
+        ASSERT_EQ(report->summary.failed_queries, 0u);
         for (size_t i = 0; i < sources.size(); ++i) {
           ASSERT_EQ(report->sets[i], expected[i])
               << "threads=" << num_threads << " batch=" << batch

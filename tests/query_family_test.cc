@@ -968,6 +968,99 @@ TEST(QueryFamilyCache, PointOnlyBackendFallbackIdenticalCacheOnOff) {
 }
 
 // ---------------------------------------------------------------------
+// Engine accounting of specs that never reach a backend.
+// ---------------------------------------------------------------------
+
+/// True when `stats` records no backend work at all.
+bool NoBackendWork(const QueryStats& stats) {
+  return stats.io_cost == 0.0 && stats.pages_fetched == 0 &&
+         stats.pool_hits == 0 && stats.cpu_seconds == 0.0 &&
+         stats.items_visited == 0;
+}
+
+TEST(QueryFamilyEngine, RejectedSpecsReportNoBackendWork) {
+  auto dataset = MakeVnDataset(DatasetScale::kSmall, 240);
+  ASSERT_TRUE(dataset.ok());
+  ReachGridOptions grid_options;
+  grid_options.temporal_resolution = 20;
+  grid_options.spatial_cell_size = 1500.0;
+  grid_options.contact_range = dataset->contact_range;
+  auto grid = ReachGridIndex::Build(dataset->store, grid_options);
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  std::shared_ptr<const ReachGridIndex> grid_sp = std::move(*grid);
+  auto network = std::make_shared<const ContactNetwork>(
+      dataset->num_objects(), dataset->span(),
+      ExtractContacts(dataset->store, dataset->contact_range));
+  auto dn = BuildDnGraph(*network);
+  ASSERT_TRUE(dn.ok());
+  auto grail = GrailIndex::Build(*dn, GrailOptions{});
+  ASSERT_TRUE(grail.ok());
+  std::shared_ptr<const GrailIndex> grail_sp = std::move(*grail);
+
+  // A boolean spec that reads pages, then specs that fail before any
+  // backend call: bad arguments on ReachGrid, and on GRAIL families whose
+  // primitive it lacks. Their stats must be empty, not the boolean's.
+  QuerySpec boolean;
+  boolean.family = QueryFamily::kBoolean;
+  boolean.source = 0;
+  boolean.destination = 1;
+  boolean.interval = dataset->span();
+  QuerySpec bad_decay = boolean;
+  bad_decay.family = QueryFamily::kDecayReach;
+  bad_decay.decay = 2.0;  // Outside [0, 1].
+  QuerySpec bad_topk = boolean;
+  bad_topk.family = QueryFamily::kTopKSources;
+  bad_topk.k = 0;
+  bad_topk.candidates = {0, 1};
+  QuerySpec khop = boolean;
+  khop.family = QueryFamily::kKHopReach;
+  khop.max_hops = 2;
+  QuerySpec topk = bad_topk;
+  topk.k = 1;
+
+  struct Probe {
+    std::string label;
+    std::function<std::unique_ptr<ReachabilityIndex>()> session;
+    std::vector<QuerySpec> specs;
+    Status::Code rejected;
+  };
+  const std::vector<Probe> probes = {
+      {"grid", [grid_sp] { return MakeReachGridBackend(grid_sp); },
+       {boolean, bad_decay, bad_topk}, Status::Code::kInvalidArgument},
+      {"grail-disk",
+       [grail_sp] { return MakeGrailBackend(grail_sp, GrailMode::kDisk); },
+       {boolean, khop, topk}, Status::Code::kNotSupported},
+  };
+  for (const Probe& probe : probes) {
+    for (const size_t capacity : {size_t{0}, size_t{16}}) {
+      const std::string label =
+          probe.label + " cache=" + std::to_string(capacity);
+      QueryEngineOptions options;
+      options.result_cache_capacity = capacity;
+      auto session = probe.session();
+      const auto report =
+          QueryEngine(options).RunFamilies(session.get(), probe.specs);
+      ASSERT_TRUE(report.ok()) << label << ": " << report.status().ToString();
+      ASSERT_TRUE(report->statuses[0].ok()) << label;
+      const QueryStats& served = report->per_query[0];
+      EXPECT_GT(served.pages_fetched, 0u) << label;
+      for (size_t i = 1; i < probe.specs.size(); ++i) {
+        EXPECT_EQ(report->statuses[i].code(), probe.rejected)
+            << label << " " << report->statuses[i].ToString();
+        EXPECT_TRUE(NoBackendWork(report->per_query[i]))
+            << label << " " << probe.specs[i].ToString() << ": "
+            << report->per_query[i].ToString();
+      }
+      EXPECT_EQ(report->summary.failed_queries, probe.specs.size() - 1)
+          << label;
+      EXPECT_EQ(report->summary.total_io_cost, served.io_cost) << label;
+      EXPECT_EQ(report->summary.total_pages_fetched, served.pages_fetched)
+          << label;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Workload-generator determinism.
 // ---------------------------------------------------------------------
 

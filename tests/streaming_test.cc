@@ -408,23 +408,6 @@ TEST(StreamingIngestor, ValidatesOptions) {
 }
 
 TEST(StreamingEngine, EngineOptionsBridgeAndCodecGuard) {
-  QueryEngineOptions engine_options;
-  engine_options.seal_interval_ticks = 32;
-  engine_options.max_lateness_ticks = 7;
-  engine_options.page_codec = PageCodecKind::kDeltaVarint;
-  const StreamingOptions bridged =
-      MakeStreamingOptions(kObjects, kSpan, engine_options);
-  EXPECT_EQ(bridged.num_objects, kObjects);
-  EXPECT_EQ(bridged.span, kSpan);
-  EXPECT_EQ(bridged.seal_interval_ticks, 32);
-  EXPECT_EQ(bridged.max_lateness_ticks, 7);
-  EXPECT_EQ(bridged.build.page_codec, PageCodecKind::kDeltaVarint);
-  // Unset knobs keep the streaming defaults.
-  const StreamingOptions defaults =
-      MakeStreamingOptions(kObjects, kSpan, QueryEngineOptions{});
-  EXPECT_EQ(defaults.seal_interval_ticks, StreamingOptions{}.seal_interval_ticks);
-  EXPECT_EQ(defaults.max_lateness_ticks, 0);
-
   // A streaming backend declares its codec, so the engine's
   // mis-declared-decode guard applies to the live tier too.
   const std::vector<Contact> contacts = MakeRandomContacts(23, 120);
@@ -467,6 +450,7 @@ TEST(StreamingEngine, EngineOptionsBridgeAndCodecGuard) {
   auto closure_report =
       closures.RunClosures(backend.get(), sources, window);
   ASSERT_TRUE(closure_report.ok()) << closure_report.status().ToString();
+  EXPECT_EQ(closure_report->summary.failed_queries, 0u);
   for (size_t i = 0; i < sources.size(); ++i) {
     EXPECT_EQ(closure_report->sets[i],
               BruteForceClosure(network, sources[i], window));
@@ -484,10 +468,10 @@ TEST(StreamingSink, ExtractContactsToFeedsTheHeadDirectly) {
   const double dt = 30.0;
   const std::vector<Contact> contacts = ExtractContacts(*store, dt);
 
-  QueryEngineOptions engine_options;
-  engine_options.seal_interval_ticks = 20;
-  StreamingOptions options = MakeStreamingOptions(
-      store->num_objects(), store->span(), engine_options);
+  StreamingOptions options;
+  options.num_objects = store->num_objects();
+  options.span = store->span();
+  options.seal_interval_ticks = 20;
   auto ingestor = StreamingIngestor::Create(options);
   ASSERT_TRUE(ingestor.ok());
   ExtractContactsTo(*store, dt, store->span(), JoinOptions{},
