@@ -11,7 +11,7 @@
 // devices (default 1, the paper's single-disk layout); answers are
 // identical, only the per-shard IO distribution changes.
 // --io_queue_depth lets each worker session keep D page reads in flight
-// per shard (default 1, the synchronous paper model); answers are again
+// per shard (default 1, the paper's one-read-at-a-time model); answers are
 // identical — watch the `inflight` figure in the engine summary move.
 // --write_queue_depth / --build_workers drive the build side the same
 // way: W pages in flight per shard write queue and B build workers

@@ -330,6 +330,10 @@ Result<ReachAnswer> GrailIndex::QueryDisk(const ReachQuery& query,
     answer.arrival_time = w.start;
     return finish(true);
   }
+  if (query.source >= timeline_extents_.size() ||
+      query.destination >= timeline_extents_.size()) {
+    return finish(false);
+  }
   auto v1 = LookupVertexDisk(query.source, w.start, pool);
   if (!v1.ok()) return v1.status();
   auto v2 = LookupVertexDisk(query.destination, w.end, pool);

@@ -100,10 +100,9 @@ Result<ReachAnswer> SpjEvaluator::Query(const ReachQuery& query,
   };
 
   const TimeInterval w = query.interval.Intersect(span_);
-  if (w.empty() || query.source >= num_objects_) {
-    return finish(false, kInvalidTime);
-  }
+  if (w.empty()) return finish(false, kInvalidTime);
   if (query.source == query.destination) return finish(true, w.start);
+  if (query.source >= num_objects_) return finish(false, kInvalidTime);
 
   const double dt = options_.contact_range;
   const double dt_sq = dt * dt;
@@ -119,9 +118,9 @@ Result<ReachAnswer> SpjEvaluator::Query(const ReachQuery& query,
   // Phase 1 — materialize C': SPJ first "retrieves all the trajectories
   // segments which overlap with the query interval" (§6.1.2). The whole
   // overlapping range is known up front, so it goes out as one batch:
-  // with a queue depth of 1 the slabs stream in order exactly as before;
-  // deeper queues overlap the reads across every shard's queue at once —
-  // the scan is the deepest batch any evaluator issues.
+  // with a queue depth of 1 the slabs stream in order, one read at a
+  // time; deeper queues overlap the reads across every shard's queue at
+  // once — the scan is the deepest batch any evaluator issues.
   const std::vector<Extent> wanted(
       slab_extents_.begin() + first_slab,
       slab_extents_.begin() + last_slab + 1);

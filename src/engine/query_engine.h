@@ -30,13 +30,14 @@ struct QueryEngineOptions {
   bool cold_cache = false;
 
   /// IO submission-queue depth per storage shard, applied to every worker
-  /// session before the run (`ReachabilityIndex::SetIoQueueDepth`). At 1
-  /// (default) every backend reads pages synchronously in traversal
-  /// order — the paper's single-outstanding-request cost model. At N > 1
-  /// the backends batch each traversal step's page needs and the
-  /// simulated per-shard devices keep up to N reads in flight, reordering
-  /// service seek-aware — answers are identical, the IO cost profile
-  /// (and `WorkloadSummary::mean_inflight_requests()`) changes.
+  /// session before the run (`ReachabilityIndex::SetIoQueueDepth`). The
+  /// backends batch each traversal step's page needs at every depth. At
+  /// 1 (default) each shard's device services one read at a time in
+  /// request order — the paper's single-outstanding-request cost model.
+  /// At N > 1 the simulated per-shard devices keep up to N reads in
+  /// flight, reordering service seek-aware — answers are identical, the
+  /// IO cost profile (and `WorkloadSummary::mean_inflight_requests()`)
+  /// changes.
   int io_queue_depth = 1;
 
   /// On-disk record codec the workload's disk-resident backend is
@@ -153,14 +154,15 @@ struct WorkloadSummary {
   double mean_io_cost() const {
     return num_queries == 0 ? 0.0 : total_io_cost / num_queries;
   }
-  /// Device reads serviced through the batched async path, all shards.
+  /// Device reads serviced through the batched async path, all shards —
+  /// every buffer-pool read, so it equals the run's total reads.
   uint64_t total_batched_reads() const {
     uint64_t total = 0;
     for (const IoStats& shard : per_shard_io) total += shard.batched_reads;
     return total;
   }
-  /// Mean in-flight requests over all batched reads of the run (0 when
-  /// nothing went through the batch path; > 1 means reads overlapped).
+  /// Mean in-flight requests over all batched reads of the run (1.0 at
+  /// depth 1; > 1 means reads overlapped; 0 when the run read nothing).
   double mean_inflight_requests() const {
     uint64_t reads = 0;
     uint64_t accum = 0;

@@ -103,10 +103,11 @@ class ReachabilityIndex {
   /// Sets this session's IO submission-queue depth: how many page reads
   /// the session's buffer pool may keep in flight per storage shard when
   /// a traversal step batches its page needs (`BufferPool::FetchBatch`).
-  /// 1 — the default everywhere — keeps the session byte-identical to the
-  /// historical synchronous read path; memory-resident backends ignore
-  /// it. Answers never depend on the depth, only the IO cost profile
-  /// does. Sessions minted by `NewSession()` inherit the current depth.
+  /// 1 — the default everywhere — keeps one read outstanding per shard,
+  /// serviced in request order (the paper's cost model); memory-resident
+  /// backends ignore it. Answers never depend on the depth, only the IO
+  /// cost profile does. Sessions minted by `NewSession()` inherit the
+  /// current depth.
   virtual void SetIoQueueDepth(int depth) { (void)depth; }
 
   /// Sets this session's bounded retry budget for transient

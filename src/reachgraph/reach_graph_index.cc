@@ -283,8 +283,7 @@ Status ReachGraphIndex::PrefetchVertices(const std::vector<VertexId>& vs,
                                          TraversalScratch* scratch) const {
   if (scratch->pool->io_queue_depth() == 1 || vs.empty()) return Status::OK();
   // Distinct partitions the frontier needs, first-appearance order (the
-  // frontier's expansion order, so depth-1-per-shard service would still
-  // walk them as the synchronous traversal would have).
+  // frontier's expansion order, which each shard's queue starts from).
   std::vector<uint32_t> partitions;
   std::vector<Extent> extents;
   for (VertexId v : vs) {
@@ -452,7 +451,7 @@ Result<std::vector<Timestamp>> ReachGraphIndex::ReachableSet(
     if (newly.empty()) continue;
     // The sweep's IO pattern: one batched read for the new members'
     // timelines, then one batched prefetch for the partitions their
-    // entries point at — both no-ops at queue depth 1.
+    // entries point at (the prefetch is a no-op at queue depth 1).
     extents.clear();
     for (ObjectId o : newly) extents.push_back(timeline_extents_[o]);
     auto blobs = ReadExtentsBatched(pool, extents, options_.page_size);
@@ -811,6 +810,9 @@ Result<ReachAnswer> ReachGraphIndex::RunBidirectional(const ReachQuery& query,
     answer.arrival_time = w.start;
     return finish(true);
   }
+  if (query.source >= num_objects_ || query.destination >= num_objects_) {
+    return finish(false);
+  }
   const Timestamp t1 = w.start;
   const Timestamp t2 = w.end;
   const Timestamp mid = t1 + (t2 - t1) / 2;
@@ -945,6 +947,9 @@ Result<ReachAnswer> ReachGraphIndex::RunUnidirectional(const ReachQuery& query,
   if (query.source == query.destination) {
     answer.arrival_time = w.start;
     return finish(true);
+  }
+  if (query.source >= num_objects_ || query.destination >= num_objects_) {
+    return finish(false);
   }
 
   auto v1 = LookupVertex(query.source, w.start, pool);

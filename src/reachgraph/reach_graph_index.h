@@ -210,8 +210,9 @@ class ReachGraphIndex {
   /// Prefetches the partitions of `vs` into `scratch` as one batched read
   /// when the session's queue depth exceeds 1 — the frontier's partition
   /// demand goes to the per-shard queues together instead of one
-  /// partition per expansion. No-op at depth 1, so the default path
-  /// touches exactly the pages the synchronous traversal did.
+  /// partition per expansion. No-op at depth 1: there a prefetch cannot
+  /// overlap anything, and it would read partitions an early-stopping
+  /// traversal never expands.
   Status PrefetchVertices(const std::vector<VertexId>& vs,
                           TraversalScratch* scratch) const;
 

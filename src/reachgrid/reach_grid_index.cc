@@ -218,58 +218,10 @@ Status ReachGridIndex::WriteIndex(const TrajectoryStore& store) {
   return writer.Flush();
 }
 
-Result<CellId> ReachGridIndex::LookupCell(int bucket, ObjectId object,
-                                          BufferPool* pool) const {
-  if (bucket < 0 || bucket >= num_buckets() || object >= num_objects_) {
-    return Status::OutOfRange("locator lookup out of range");
-  }
-  if (pool->page_codec()->kind() != PageCodecKind::kRaw) {
-    // Encoded locator entries are variable-width, so the byte-offset probe
-    // below cannot address them. The table is stored as fixed-span blocks
-    // of kLocatorBlockEntries entries instead: the in-memory skip table
-    // maps straight to the one block holding this object, so a probe
-    // decodes a constant number of bytes — §4.2's constant-IO contract
-    // survives compression. (Shared read: repeat probes of a hot block
-    // hit the decoded-record cache and move nothing.)
-    const auto& blocks = locator_blocks_[static_cast<size_t>(bucket)];
-    const size_t block = static_cast<size_t>(object) / kLocatorBlockEntries;
-    if (block >= blocks.size()) {
-      return Status::Corruption("locator table shorter than object id");
-    }
-    auto record = ReadExtentShared(pool, blocks[block], options_.page_size);
-    if (!record.ok()) return record.status();
-    const size_t slot = (static_cast<size_t>(object) % kLocatorBlockEntries) * 4;
-    if ((*record)->size() < slot + 4) {
-      return Status::Corruption("locator block shorter than object slot");
-    }
-    return DecodeLocatorEntry((*record)->data() + slot);
-  }
-  const Extent& extent = locator_extents_[static_cast<size_t>(bucket)];
-  // Direct single-entry read of the entry's (possibly two) pages.
-  const uint64_t byte_offset = LocatorEntryOffset(extent, object);
-  char raw[4];
-  for (int i = 0; i < 4; ++i) {
-    const uint64_t off = byte_offset + static_cast<uint64_t>(i);
-    auto data = pool->Fetch(LocatorBytePage(extent, off, options_.page_size));
-    if (!data.ok()) return data.status();
-    raw[i] = (*data)[off % options_.page_size];
-  }
-  return DecodeLocatorEntry(raw);
-}
-
 Result<std::vector<CellId>> ReachGridIndex::LookupCells(
     int bucket, const std::vector<ObjectId>& objects, BufferPool* pool) const {
   std::vector<CellId> cells;
   cells.reserve(objects.size());
-  if (pool->io_queue_depth() == 1) {
-    // Synchronous depth: the exact per-object probe loop.
-    for (ObjectId object : objects) {
-      auto cell = LookupCell(bucket, object, pool);
-      if (!cell.ok()) return cell.status();
-      cells.push_back(*cell);
-    }
-    return cells;
-  }
   if (bucket < 0 || bucket >= num_buckets()) {
     return Status::OutOfRange("locator lookup out of range");
   }
@@ -347,40 +299,26 @@ Result<std::vector<CellId>> ReachGridIndex::LookupCells(
   return cells;
 }
 
-Status ReachGridIndex::FetchCell(int bucket, CellId cell, BucketContext* ctx,
-                                 BufferPool* pool) const {
-  auto [fetched_it, first_time] = ctx->fetched_cells.try_emplace(cell, true);
-  if (!first_time) return Status::OK();
-  const auto& cells = bucket_cells_[static_cast<size_t>(bucket)];
-  auto it = cells.find(cell);
-  if (it == cells.end()) return Status::OK();  // Empty cell.
-  auto blob = ReadExtent(pool, it->second, options_.page_size);
-  if (!blob.ok()) return blob.status();
-  return ParseCellBlob(*blob, ctx);
+std::vector<Extent> ReachGridIndex::UnfetchedCellExtents(
+    int bucket, const std::vector<CellId>& cells, BucketContext* ctx) const {
+  const auto& directory = bucket_cells_[static_cast<size_t>(bucket)];
+  std::vector<Extent> extents;
+  for (CellId cell : cells) {
+    if (!ctx->fetched_cells.try_emplace(cell, true).second) continue;
+    auto it = directory.find(cell);
+    if (it != directory.end()) extents.push_back(it->second);  // Non-empty.
+  }
+  return extents;
 }
 
 Status ReachGridIndex::FetchCells(int bucket, const std::vector<CellId>& cells,
                                   BucketContext* ctx, BufferPool* pool) const {
-  if (pool->io_queue_depth() == 1) {
-    for (CellId cell : cells) {
-      STREACH_RETURN_NOT_OK(FetchCell(bucket, cell, ctx, pool));
-    }
-    return Status::OK();
-  }
-  // Collect the extents of every cell this step still needs and read them
-  // as one batch — the bucket-expansion demand the per-shard queues
-  // overlap. Cells stay in ascending-id order (the §4.1 on-disk order),
-  // so within each shard most of the batch services sequentially.
-  const auto& directory = bucket_cells_[static_cast<size_t>(bucket)];
-  std::vector<Extent> extents;
-  for (CellId cell : cells) {
-    auto [fetched_it, first_time] = ctx->fetched_cells.try_emplace(cell, true);
-    if (!first_time) continue;
-    auto it = directory.find(cell);
-    if (it == directory.end()) continue;  // Empty cell.
-    extents.push_back(it->second);
-  }
-  auto blobs = ReadExtentsBatched(pool, extents, options_.page_size);
+  // Every cell this step still needs goes out as one batch — the
+  // bucket-expansion demand the per-shard queues overlap. Cells stay in
+  // ascending-id order (the §4.1 on-disk order), so within each shard
+  // most of the batch services sequentially.
+  auto blobs = ReadExtentsBatched(
+      pool, UnfetchedCellExtents(bucket, cells, ctx), options_.page_size);
   if (!blobs.ok()) return blobs.status();
   for (const std::string& blob : *blobs) {
     STREACH_RETURN_NOT_OK(ParseCellBlob(blob, ctx));
@@ -429,22 +367,14 @@ Status ReachGridIndex::FetchCellsParallel(int bucket,
   if (frontier == nullptr || frontier->num_threads() == 1) {
     return FetchCells(bucket, cells, ctx, pool);
   }
-  // Same extent collection as FetchCells, but the batch is split across
-  // the frontier workers: each worker reads its chunk through the
+  // Same extents as FetchCells, but the batch is split across the
+  // frontier workers: each worker reads its chunk through the
   // thread-safe pool and decodes/parses the blobs in parallel (the CPU
   // cost that dominates compressed sweeps). Parsed objects are merged on
   // the caller afterwards; duplicates across cells carry identical
   // positions (each cell stores the object's whole bucket segment), so
   // keep-first merging is order-insensitive.
-  const auto& directory = bucket_cells_[static_cast<size_t>(bucket)];
-  std::vector<Extent> extents;
-  for (CellId cell : cells) {
-    auto [fetched_it, first_time] = ctx->fetched_cells.try_emplace(cell, true);
-    if (!first_time) continue;
-    auto it = directory.find(cell);
-    if (it == directory.end()) continue;  // Empty cell.
-    extents.push_back(it->second);
-  }
+  const std::vector<Extent> extents = UnfetchedCellExtents(bucket, cells, ctx);
   if (extents.empty()) return Status::OK();
   const int workers = frontier->num_threads();
   std::vector<std::vector<std::pair<ObjectId, BucketPositions>>> parsed(
@@ -778,9 +708,10 @@ Result<ReachAnswer> ReachGridIndex::Sweep(
     scope.Finish();
     return answer;
   };
-  if (w.empty() || source >= num_objects_) return finish(false, kInvalidTime);
-  if (infection_times != nullptr) (*infection_times)[source] = w.start;
+  if (w.empty()) return finish(false, kInvalidTime);
   if (source == destination) return finish(true, w.start);
+  if (source >= num_objects_) return finish(false, kInvalidTime);
+  if (infection_times != nullptr) (*infection_times)[source] = w.start;
 
   const double dt = options_.contact_range;
   const double dt_sq = dt * dt;
@@ -805,8 +736,8 @@ Result<ReachAnswer> ReachGridIndex::Sweep(
 
     // Fetches a batch of cells in ascending id order: cells of one bucket
     // are placed on disk in that order (§4.1), so a sorted fetch turns
-    // most of the batch into sequential page reads — and, beyond depth 1,
-    // goes out as one submission batch per expansion step.
+    // most of the batch into sequential page reads — and goes out as one
+    // submission batch per expansion step.
     auto fetch_sorted = [&](std::vector<CellId> cells) -> Status {
       std::sort(cells.begin(), cells.end());
       cells.erase(std::unique(cells.begin(), cells.end()), cells.end());

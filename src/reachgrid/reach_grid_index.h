@@ -192,14 +192,16 @@ class ReachGridIndex {
     std::unordered_map<CellId, bool> fetched_cells;
   };
 
-  /// Fetches a cell's record into `ctx` (no-op for empty/fetched cells).
-  Status FetchCell(int bucket, CellId cell, BucketContext* ctx,
-                   BufferPool* pool) const;
+  /// Extents of the non-empty `cells` not yet fetched into `ctx`, in
+  /// `cells` order; marks every one of `cells` fetched.
+  std::vector<Extent> UnfetchedCellExtents(int bucket,
+                                           const std::vector<CellId>& cells,
+                                           BucketContext* ctx) const;
 
   /// Fetches a whole batch of cells into `ctx`: the extents of every
   /// not-yet-fetched non-empty cell are read through one
   /// `ReadExtentsBatched` call, so the per-shard queues see the full
-  /// expansion step. At queue depth 1 this is a loop of `FetchCell`.
+  /// expansion step at any queue depth.
   Status FetchCells(int bucket, const std::vector<CellId>& cells,
                     BucketContext* ctx, BufferPool* pool) const;
 
@@ -222,13 +224,9 @@ class ReachGridIndex {
       const std::string& blob, const BucketContext& ctx,
       std::vector<std::pair<ObjectId, BucketPositions>>* out) const;
 
-  /// Locator lookup: cell of `object` at the start of `bucket` (§4.2's
-  /// constant-IO external hash).
-  Result<CellId> LookupCell(int bucket, ObjectId object,
-                            BufferPool* pool) const;
-
-  /// Batched locator lookups: the locator pages of all `objects` go out
-  /// as one fetch batch. At queue depth 1 this is a loop of `LookupCell`.
+  /// Locator lookups: the cell of each of `objects` at the start of
+  /// `bucket` (§4.2's constant-IO external hash). The locator pages of
+  /// all `objects` go out as one fetch batch at any queue depth.
   Result<std::vector<CellId>> LookupCells(int bucket,
                                           const std::vector<ObjectId>& objects,
                                           BufferPool* pool) const;

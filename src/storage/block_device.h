@@ -101,7 +101,8 @@ struct ReadCursor {
 /// service order and carry the caller's tag, so the caller can reassemble
 /// results in request order. With `queue_depth == 1` exactly one request
 /// is outstanding and the device degenerates to the synchronous path:
-/// same service order, same accounting.
+/// same service order, same accounting. Buffer pools read only through
+/// `SubmitBatch`; `ReadPage` is the reference it is specified against.
 /// @{
 
 /// One entry of an async read batch: a page plus a caller-chosen tag that

@@ -180,8 +180,8 @@ namespace {
 /// Stitches one extent's bytes out of its spanned pages: `next_page` is
 /// called once per page, in ascending page order, and must yield that
 /// page's contents. The single place that knows how a blob maps onto
-/// page-sized pieces — both the synchronous and the batched read path
-/// assemble through it, which also makes it the single place the per-blob
+/// page-sized pieces — ReadExtent and ReadExtentsBatched both assemble
+/// through it, which also makes it the single place the per-blob
 /// checksum footer is verified and stripped: callers always receive the
 /// stored payload alone, with damage surfaced as `Corruption` naming the
 /// extent's first page and shard.
@@ -223,74 +223,46 @@ Result<std::string> StitchExtent(const Extent& extent, size_t page_size,
   return out;
 }
 
-}  // namespace
-
-namespace {
-
 /// The shared non-raw miss path: decodes freshly stitched stored bytes,
 /// accounts the transcode against the extent's shard, and retains the
 /// record in the pool's decoded cache.
-Result<std::shared_ptr<const std::string>> DecodeAndCache(
-    BufferPool* pool, const Extent& extent, const std::string& stored) {
+Result<std::string> DecodeAndCache(BufferPool* pool, const Extent& extent,
+                                   const std::string& stored) {
   auto raw = pool->page_codec()->Decode(stored);
   if (!raw.ok()) return raw.status();
   pool->AccountDecode(ShardOfPage(extent.first_page), stored.size(),
                       raw->size());
   auto shared = std::make_shared<const std::string>(std::move(*raw));
   pool->InsertDecodedRecord(extent, shared);
-  return shared;
+  return *shared;
 }
 
 }  // namespace
 
-Result<std::shared_ptr<const std::string>> ReadExtentShared(
-    BufferPool* pool, const Extent& extent, size_t page_size) {
+Result<std::string> ReadExtent(BufferPool* pool, const Extent& extent,
+                               size_t page_size) {
+  // One Fetch per page, ascending. Submitted as one deep batch, a
+  // multi-page extent behind the disk head would be serviced backwards by
+  // the shortest-seek policy.
+  PageId page = extent.first_page;
+  auto next_page = [&]() { return pool->Fetch(page++); };
   if (pool->page_codec()->kind() == PageCodecKind::kRaw) {
-    // Historical path: stored bytes ARE the record, page for page.
-    PageId page = extent.first_page;
-    auto stored = StitchExtent(extent, page_size,
-                               [&]() { return pool->Fetch(page++); });
-    if (!stored.ok()) return stored.status();
-    return std::make_shared<const std::string>(std::move(*stored));
+    // Stored bytes ARE the record, page for page.
+    return StitchExtent(extent, page_size, next_page);
   }
   if (!extent.valid()) {
     return Status::InvalidArgument("reading invalid extent");
   }
-  if (extent.length == 0) return std::make_shared<const std::string>();
-  if (auto cached = pool->LookupDecodedRecord(extent)) return cached;
-  PageId page = extent.first_page;
-  auto stored = StitchExtent(extent, page_size,
-                             [&]() { return pool->Fetch(page++); });
+  if (extent.length == 0) return std::string();
+  if (auto cached = pool->LookupDecodedRecord(extent)) return *cached;
+  auto stored = StitchExtent(extent, page_size, next_page);
   if (!stored.ok()) return stored.status();
   return DecodeAndCache(pool, extent, *stored);
-}
-
-Result<std::string> ReadExtent(BufferPool* pool, const Extent& extent,
-                               size_t page_size) {
-  if (pool->page_codec()->kind() == PageCodecKind::kRaw) {
-    // Historical path: stored bytes ARE the record, page for page.
-    PageId page = extent.first_page;
-    return StitchExtent(extent, page_size,
-                        [&]() { return pool->Fetch(page++); });
-  }
-  auto shared = ReadExtentShared(pool, extent, page_size);
-  if (!shared.ok()) return shared.status();
-  return std::string(**shared);
 }
 
 Result<std::vector<std::string>> ReadExtentsBatched(
     BufferPool* pool, const std::vector<Extent>& extents, size_t page_size) {
   const bool raw = pool->page_codec()->kind() == PageCodecKind::kRaw;
-  if (pool->io_queue_depth() == 1) {
-    std::vector<std::string> blobs;
-    blobs.reserve(extents.size());
-    for (const Extent& extent : extents) {
-      auto blob = ReadExtent(pool, extent, page_size);
-      if (!blob.ok()) return blob.status();
-      blobs.push_back(std::move(*blob));
-    }
-    return blobs;
-  }
   std::vector<std::string> blobs(extents.size());
   // Which extents still need device pages: all of them under the raw
   // codec; under a non-raw codec only the records the decoded cache
@@ -334,7 +306,7 @@ Result<std::vector<std::string>> ReadExtentsBatched(
     }
     auto record = DecodeAndCache(pool, extents[i], *stored);
     if (!record.ok()) return record.status();
-    blobs[i] = **record;
+    blobs[i] = std::move(*record);
   }
   return blobs;
 }

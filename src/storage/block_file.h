@@ -148,20 +148,13 @@ class ShardedExtentWriter {
 };
 
 /// \brief Reads a record back from an `Extent` through a buffer pool:
-/// concatenates the spanned pages and, under a non-raw pool codec,
+/// fetches the spanned pages one `BufferPool::Fetch` at a time, in
+/// ascending order, concatenates them and, under a non-raw pool codec,
 /// decodes the stored bytes back into the raw record (consulting the
 /// pool's decoded-record cache first — a hit costs neither page IO nor
 /// codec work). Returns the raw record bytes in every case.
 Result<std::string> ReadExtent(BufferPool* pool, const Extent& extent,
                                size_t page_size);
-
-/// \brief `ReadExtent` without the caller-owned copy: returns shared
-/// ownership of the raw record. Under a non-raw codec a decoded-cache
-/// hit is the cached record itself — no bytes move — which is what makes
-/// repeated reads of one hot record (e.g. every locator probe of a
-/// ReachGrid sweep) O(1) instead of O(record size).
-Result<std::shared_ptr<const std::string>> ReadExtentShared(
-    BufferPool* pool, const Extent& extent, size_t page_size);
 
 /// \brief Reads several blobs through one batched fetch.
 ///
@@ -171,8 +164,8 @@ Result<std::shared_ptr<const std::string>> ReadExtentShared(
 /// demand at once instead of one page at a time. `result[i]` is the raw
 /// record of `extents[i]` (decoded like `ReadExtent`; under a non-raw
 /// codec, records the decoded cache serves are excluded from the page
-/// batch entirely). At a queue depth of 1 this is exactly a loop of
-/// `ReadExtent` calls.
+/// batch entirely). At a queue depth of 1 each shard's queue services
+/// the pages in that order.
 Result<std::vector<std::string>> ReadExtentsBatched(
     BufferPool* pool, const std::vector<Extent>& extents, size_t page_size);
 

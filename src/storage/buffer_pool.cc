@@ -23,70 +23,27 @@ BufferPool::BufferPool(const StorageTopology* topology, size_t capacity_pages)
 }
 
 Result<PageRef> BufferPool::Fetch(PageId id) {
+  PageRef ref;
   auto lock = MaybeLock();
-  return FetchLocked(id);
-}
-
-Result<PageRef> BufferPool::FetchLocked(PageId id) {
-  auto it = entries_.find(id);
-  if (it != entries_.end()) {
-    ++hits_;
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(id);
-    it->second.lru_it = lru_.begin();
-    return PageRef(it->second.bytes);
-  }
-  ++misses_;
-  // A bare-device pool only serves shard-0 addresses; stripping the
-  // shard bits there would silently alias a routed address to a low
-  // local page.
-  const uint32_t shard = ShardOfPage(id);
-  if (shard >= cursors_.size()) {
-    return Status::OutOfRange("page address routes to unknown shard " +
-                              std::to_string(shard));
-  }
-  const BlockDevice* dev =
-      topology_ != nullptr ? &topology_->shard(static_cast<int>(shard))
-                           : device_;
-  auto page = dev->ReadPage(LocalPageOf(id), &cursors_[shard]);
-  for (int attempt = 0; !page.ok() && page.status().IsUnavailable();
-       ++attempt) {
-    ++cursors_[shard].stats.transient_faults;
-    if (attempt >= max_read_retries_) break;  // Budget spent: surface it.
-    ++cursors_[shard].stats.read_retries;
-    page = dev->ReadPage(LocalPageOf(id), &cursors_[shard]);
-  }
-  if (!page.ok()) return page.status();
-  auto bytes = std::make_shared<const std::string>(*page);
-  PageRef ref(bytes);
-  Install(id, std::move(bytes));
+  STREACH_RETURN_NOT_OK(FetchBatchLocked(&id, 1, &ref));
   return ref;
 }
 
 Result<std::vector<PageRef>> BufferPool::FetchBatch(
     const std::vector<PageId>& ids) {
+  std::vector<PageRef> refs(ids.size());
   auto lock = MaybeLock();
-  return FetchBatchLocked(ids);
+  STREACH_RETURN_NOT_OK(FetchBatchLocked(ids.data(), ids.size(), refs.data()));
+  return refs;
 }
 
-Result<std::vector<PageRef>> BufferPool::FetchBatchLocked(
-    const std::vector<PageId>& ids) {
-  std::vector<PageRef> refs(ids.size());
-  if (io_queue_depth_ == 1) {
-    // Degenerate path: exactly the synchronous loop, access by access.
-    for (size_t i = 0; i < ids.size(); ++i) {
-      auto ref = FetchLocked(ids[i]);
-      if (!ref.ok()) return ref.status();
-      refs[i] = *ref;
-    }
-    return refs;
-  }
+Status BufferPool::FetchBatchLocked(const PageId* ids, size_t count,
+                                    PageRef* refs) {
   // Pass 1 — serve hits and dedup the misses. A repeated missing id
-  // counts one miss plus hits, mirroring what the Fetch loop would have
-  // accounted once the first occurrence brought the page in.
+  // counts one miss plus hits: one device read serves every occurrence.
   std::vector<PageId> missing;  // Unique, first-occurrence order.
   std::unordered_map<PageId, std::vector<size_t>> waiters;
-  for (size_t i = 0; i < ids.size(); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     const PageId id = ids[i];
     auto it = entries_.find(id);
     if (it != entries_.end()) {
@@ -106,13 +63,16 @@ Result<std::vector<PageRef>> BufferPool::FetchBatchLocked(
     }
     wit->second.push_back(i);
   }
-  if (missing.empty()) return refs;
+  if (missing.empty()) return Status::OK();
 
   // Pass 2 — one submission batch; the topology splits it into per-shard
   // queues serviced at io_queue_depth_.
   std::vector<AsyncReadRequest> requests;
   requests.reserve(missing.size());
   for (size_t k = 0; k < missing.size(); ++k) {
+    // A bare-device pool only serves shard-0 addresses; stripping the
+    // shard bits there would silently alias a routed address to a low
+    // local page.
     const uint32_t shard = ShardOfPage(missing[k]);
     if (shard >= cursors_.size()) {
       return Status::OutOfRange("page address routes to unknown shard " +
@@ -122,9 +82,9 @@ Result<std::vector<PageRef>> BufferPool::FetchBatchLocked(
   }
   // Each round submits the still-outstanding pages as one batch; pages
   // that complete with a transient `Unavailable` are reissued in the
-  // next round (accounted per attempt, like the synchronous retry loop)
-  // until the per-page budget `max_read_retries_` is spent. Any other
-  // failure is final for the whole fetch.
+  // next round (every attempt accounted like any other access) until the
+  // per-page budget `max_read_retries_` is spent. Any other failure is
+  // final for the whole fetch.
   std::vector<std::shared_ptr<const std::string>> bytes(missing.size());
   for (int round = 0;; ++round) {
     std::vector<AsyncReadCompletion> completions;
@@ -162,27 +122,22 @@ Result<std::vector<PageRef>> BufferPool::FetchBatchLocked(
 
   // Pass 3 — install in request order (eviction stays deterministic no
   // matter how the device reordered service) and resolve every waiter.
+  // Evicting the LRU page only drops the pool's reference: callers still
+  // holding a PageRef to it keep the bytes alive.
   for (size_t k = 0; k < missing.size(); ++k) {
     STREACH_CHECK(bytes[k] != nullptr);
     for (size_t slot : waiters[missing[k]]) refs[slot] = PageRef(bytes[k]);
-    Install(missing[k], std::move(bytes[k]));
+    if (entries_.size() >= capacity_) {
+      entries_.erase(lru_.back());
+      lru_.pop_back();
+    }
+    lru_.push_front(missing[k]);
+    const bool inserted =
+        entries_.emplace(missing[k], Entry{std::move(bytes[k]), lru_.begin()})
+            .second;
+    STREACH_CHECK(inserted);
   }
-  return refs;
-}
-
-void BufferPool::Install(PageId id, std::shared_ptr<const std::string> bytes) {
-  if (entries_.size() >= capacity_) {
-    // Dropping the victim only releases the pool's reference; callers
-    // still holding a PageRef to it keep the bytes alive.
-    const PageId victim = lru_.back();
-    lru_.pop_back();
-    entries_.erase(victim);
-  }
-  lru_.push_front(id);
-  Entry entry{std::move(bytes), lru_.begin()};
-  auto [pos, inserted] = entries_.emplace(id, std::move(entry));
-  STREACH_CHECK(inserted);
-  (void)pos;
+  return Status::OK();
 }
 
 void BufferPool::set_io_queue_depth(int depth) {

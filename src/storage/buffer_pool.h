@@ -79,34 +79,35 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Returns a stable handle to the page contents, reading from the
-  /// owning shard's device on a miss. The handle remains valid after the
-  /// page is evicted.
-  Result<PageRef> Fetch(PageId id);
-
-  /// Batched fetch: `result[i]` is the page `ids[i]`, exactly as `Fetch`
-  /// would have returned it. Cached pages are served from the pool;
-  /// misses are deduplicated (a repeated miss counts one device read plus
-  /// pool hits, like the equivalent Fetch loop) and submitted to the
-  /// per-shard device queues in one batch at `io_queue_depth()`, so up to
-  /// `depth × num_shards` reads overlap. Pages enter the LRU in request
-  /// order regardless of the device's service order, keeping eviction
-  /// deterministic. At depth 1 this IS a loop of `Fetch` calls — same
-  /// accounting, same service order.
+  /// Batched fetch, the pool's only read path: `result[i]` is a stable
+  /// handle to page `ids[i]`, valid even after the page is evicted. The
+  /// fetch runs in passes. First every cached page is served from the
+  /// pool (a hit refreshes its LRU position). Then the misses are
+  /// deduplicated (a repeated miss counts one device read plus pool
+  /// hits) and submitted to the per-shard device queues in one batch at
+  /// `io_queue_depth()`, so up to `depth × num_shards` reads overlap.
+  /// Last, the fresh pages enter the LRU in request order whatever the
+  /// device's service order, keeping eviction deterministic. At depth 1
+  /// each shard's queue services its misses one at a time in request
+  /// order.
   Result<std::vector<PageRef>> FetchBatch(const std::vector<PageId>& ids);
 
-  /// Submission-queue depth used by `FetchBatch` for each shard's device
-  /// queue; must be positive. 1 (the default) keeps the batched path
-  /// byte-identical to synchronous fetching.
+  /// A batch of one: `FetchBatch({id})[0]`.
+  Result<PageRef> Fetch(PageId id);
+
+  /// Submission-queue depth used for each shard's device queue; must be
+  /// positive. 1 (the default) keeps one read outstanding per shard —
+  /// the paper's cost model.
   void set_io_queue_depth(int depth);
   int io_queue_depth() const { return io_queue_depth_; }
 
   /// Bounded retry budget for transient (`Unavailable`) read failures:
-  /// a miss that fails transiently is reissued up to `retries` times —
-  /// each attempt accounted like any other access, plus the
-  /// `read_retries`/`transient_faults` counters — before the failure is
-  /// surfaced to the caller. Non-transient errors (`IOError`,
-  /// `Corruption`) are never retried: the media will not get better.
+  /// a miss that fails transiently is reissued in the next submission
+  /// round, up to `retries` times — each attempt accounted like any other
+  /// access, plus the `read_retries`/`transient_faults` counters — before
+  /// the failure is surfaced to the caller. Non-transient errors
+  /// (`IOError`, `Corruption`) are never retried: the media will not get
+  /// better.
   /// 0 (the default) surfaces the first failure — the historical
   /// behavior, and fault-free runs never enter the loop.
   void set_max_read_retries(int retries);
@@ -188,9 +189,10 @@ class BufferPool {
   size_t resident() const { return entries_.size(); }
   /// Fetches served without device IO since the last ResetCounters().
   uint64_t hits() const { return hits_; }
-  /// Fetches that read through to a device. Every fetch is exactly one
-  /// hit or one miss, batched or not (FetchBatch's dedup preserves the
-  /// Fetch-loop accounting), so hits + misses = total fetches.
+  /// Fetches that read through to a device. Every requested page is
+  /// exactly one hit or one miss (a repeated miss within one batch counts
+  /// as a hit after its first occurrence), so hits + misses = total
+  /// requested pages.
   uint64_t misses() const { return misses_; }
   /// Zeroes hit/miss counters (page and decoded-record) and every shard
   /// cursor (stats + head position); cached pages and decoded records
@@ -257,16 +259,9 @@ class BufferPool {
     std::list<DecodedKey>::iterator lru_it;
   };
 
-  /// Installs a freshly read page (shared `bytes`) as the MRU entry,
-  /// evicting the LRU page at capacity — the shared miss path of Fetch
-  /// and FetchBatch.
-  void Install(PageId id, std::shared_ptr<const std::string> bytes);
-
-  /// Lock-free bodies of the public fetch paths; the public methods wrap
-  /// them in the thread-safe-mode mutex (FetchBatch's depth-1 loop calls
-  /// FetchLocked so the lock is not taken recursively).
-  Result<PageRef> FetchLocked(PageId id);
-  Result<std::vector<PageRef>> FetchBatchLocked(const std::vector<PageId>& ids);
+  /// Lock-free body of Fetch and FetchBatch (they wrap it in the
+  /// thread-safe-mode mutex): fetches `ids[0..count)` into `refs[i]`.
+  Status FetchBatchLocked(const PageId* ids, size_t count, PageRef* refs);
 
   /// Acquires `mu_` only in thread-safe mode.
   std::unique_lock<std::mutex> MaybeLock() const {

@@ -26,8 +26,10 @@ struct IoStats {
   /// overlap a traversal actually achieved is measurable:
   /// `mean_inflight()` is 1.0 when every batched read went out alone
   /// (queue depth 1) and approaches the queue depth when batches keep the
-  /// per-shard queues full. Reads through the synchronous `ReadPage` path
-  /// leave these untouched.
+  /// per-shard queues full. Every buffer-pool read goes through
+  /// `SubmitBatch`, so a pool's `batched_reads` equals its
+  /// `total_reads()` at every depth. Only the device-level `ReadPage`
+  /// calls leave these untouched.
   /// @{
   uint64_t batched_reads = 0;   ///< Reads serviced via SubmitBatch.
   uint64_t inflight_accum = 0;  ///< Sum of queue occupancy at each service.

@@ -139,157 +139,76 @@ class SegmentedIndex final : public ReachabilityIndex {
 
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
       const std::vector<ObjectId>& sources, TimeInterval interval) override {
-    Stopwatch watch;
-    stats_ = QueryStats{};
-    // Multi-pool accounting: one pool per sealed segment, some possibly
-    // created mid-query (first touch of a segment). Snapshot the
-    // existing pools' counters; a pool absent from the snapshot
-    // contributes its full totals — it did not exist before this query.
-    struct Before {
-      IoStats io;
-      uint64_t hits = 0;
-      uint64_t misses = 0;
-    };
-    std::unordered_map<const BufferPool*, Before> before;
-    before.reserve(pools_.size());
-    for (const auto& [id, pool] : pools_) {
-      before[pool.get()] = {pool->io_stats(), pool->hits(), pool->misses()};
-    }
-
     const size_t num_objects = ingestor_->num_objects();
     const TimeInterval w = interval.Intersect(ingestor_->span());
     std::vector<std::vector<Timestamp>> sets(
         sources.size(), std::vector<Timestamp>(num_objects, kInvalidTime));
-    uint64_t visited = 0;
-    bool degraded = false;
-    Status status;
-    if (!w.empty()) {
+    STREACH_RETURN_NOT_OK(Accounted([&]() -> Status {
+      if (w.empty()) return Status::OK();
       std::vector<SweepUnit> units;
-      status = LoadUnits(w, &units, &degraded);
-      if (status.ok()) {
-        for (const SweepUnit& unit : units) visited += unit.contacts.size();
-        for (size_t i = 0; i < sources.size(); ++i) {
-          if (sources[i] >= num_objects) continue;
-          std::vector<Timestamp>& times = sets[i];
-          times[sources[i]] = w.start;
-          // Bounded fixpoint: sweep the units (ascending cover, head
-          // last) until no infection time improves. A run crossing a
-          // seal boundary lives in the later unit, so infection flows
-          // backward across the cut on the next round; times only
-          // decrease over a finite lattice, so this terminates.
-          bool changed = true;
-          while (changed) {
-            changed = false;
-            for (const SweepUnit& unit : units) {
-              changed |= SweepOnce(unit, w, &times);
-            }
+      STREACH_RETURN_NOT_OK(LoadUnits(w, &units, &stats_.degraded));
+      for (const SweepUnit& unit : units) {
+        stats_.items_visited += unit.contacts.size();
+      }
+      for (size_t i = 0; i < sources.size(); ++i) {
+        if (sources[i] >= num_objects) continue;
+        std::vector<Timestamp>& times = sets[i];
+        times[sources[i]] = w.start;
+        // Bounded fixpoint: sweep the units (ascending cover, head last)
+        // until no infection time improves. A run crossing a seal
+        // boundary lives in the later unit, so infection flows backward
+        // across the cut on the next round; times only decrease over a
+        // finite lattice, so this terminates.
+        bool changed = true;
+        while (changed) {
+          changed = false;
+          for (const SweepUnit& unit : units) {
+            changed |= SweepOnce(unit, w, &times);
           }
         }
       }
-    }
-
-    // Finalized even on error so partially accounted IO is visible.
-    IoStats io;
-    uint64_t pages = 0;
-    uint64_t hits = 0;
-    for (const auto& [id, pool] : pools_) {
-      const auto it = before.find(pool.get());
-      if (it == before.end()) {
-        io += pool->io_stats();
-        pages += pool->misses();
-        hits += pool->hits();
-      } else {
-        io += pool->io_stats() - it->second.io;
-        pages += pool->misses() - it->second.misses;
-        hits += pool->hits() - it->second.hits;
-      }
-    }
-    stats_.io_cost = io.NormalizedReadCost();
-    stats_.pages_fetched = pages;
-    stats_.pool_hits = hits;
-    stats_.items_visited = visited;
-    stats_.cpu_seconds = watch.ElapsedSeconds();
-    stats_.degraded = degraded;
-    if (!status.ok()) return status;
+      return Status::OK();
+    }));
     return sets;
   }
 
   Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
       ObjectId source, TimeInterval interval,
       const HopConstraints& hops) override {
-    Stopwatch watch;
-    stats_ = QueryStats{};
-    struct Before {
-      IoStats io;
-      uint64_t hits = 0;
-      uint64_t misses = 0;
-    };
-    std::unordered_map<const BufferPool*, Before> before;
-    before.reserve(pools_.size());
-    for (const auto& [id, pool] : pools_) {
-      before[pool.get()] = {pool->io_stats(), pool->hits(), pool->misses()};
-    }
-
     const size_t num_objects = ingestor_->num_objects();
     const TimeInterval w = interval.Intersect(ingestor_->span());
     std::vector<ReachProfileEntry> profile(num_objects);
-    uint64_t visited = 0;
-    bool degraded = false;
-    Status status;
-    if (!w.empty() && source < num_objects) {
+    STREACH_RETURN_NOT_OK(Accounted([&]() -> Status {
+      if (w.empty() || source >= num_objects) return Status::OK();
       std::vector<SweepUnit> units;
-      status = LoadUnits(w, &units, &degraded);
-      if (status.ok()) {
-        // The transfer-level recursion needs the per-tick snapshot
-        // components of the WHOLE stream — a same-tick chain may cross
-        // units (conduit in one segment, carrier in another), so per-unit
-        // relaxation cannot see it. Materialize every unit's contacts
-        // into one per-tick pair table, then run the shared kernel; the
-        // table is independent of the seal schedule, which is what keeps
-        // streaming answers byte-identical to a one-shot batch build.
-        std::vector<std::vector<std::pair<ObjectId, ObjectId>>> tick_pairs(
-            static_cast<size_t>(w.length()));
-        for (const SweepUnit& unit : units) {
-          visited += unit.contacts.size();
-          for (const Contact& c : unit.contacts) {
-            const TimeInterval v = c.validity.Intersect(w);
-            for (Timestamp t = v.start; t <= v.end; ++t) {
-              tick_pairs[static_cast<size_t>(t - w.start)].emplace_back(c.a,
-                                                                        c.b);
-            }
+      STREACH_RETURN_NOT_OK(LoadUnits(w, &units, &stats_.degraded));
+      // The transfer-level recursion needs the per-tick snapshot
+      // components of the WHOLE stream — a same-tick chain may cross
+      // units (conduit in one segment, carrier in another), so per-unit
+      // relaxation cannot see it. Materialize every unit's contacts into
+      // one per-tick pair table, then run the shared kernel; the table is
+      // independent of the seal schedule, which is what keeps streaming
+      // answers byte-identical to a one-shot batch build.
+      std::vector<std::vector<std::pair<ObjectId, ObjectId>>> tick_pairs(
+          static_cast<size_t>(w.length()));
+      for (const SweepUnit& unit : units) {
+        stats_.items_visited += unit.contacts.size();
+        for (const Contact& c : unit.contacts) {
+          const TimeInterval v = c.validity.Intersect(w);
+          for (Timestamp t = v.start; t <= v.end; ++t) {
+            tick_pairs[static_cast<size_t>(t - w.start)].emplace_back(c.a,
+                                                                      c.b);
           }
         }
-        profile = ComputeHopProfile(
-            num_objects, source, w, hops,
-            [&](Timestamp t)
-                -> const std::vector<std::pair<ObjectId, ObjectId>>& {
-              return tick_pairs[static_cast<size_t>(t - w.start)];
-            });
       }
-    }
-
-    IoStats io;
-    uint64_t pages = 0;
-    uint64_t hits = 0;
-    for (const auto& [id, pool] : pools_) {
-      const auto it = before.find(pool.get());
-      if (it == before.end()) {
-        io += pool->io_stats();
-        pages += pool->misses();
-        hits += pool->hits();
-      } else {
-        io += pool->io_stats() - it->second.io;
-        pages += pool->misses() - it->second.misses;
-        hits += pool->hits() - it->second.hits;
-      }
-    }
-    stats_.io_cost = io.NormalizedReadCost();
-    stats_.pages_fetched = pages;
-    stats_.pool_hits = hits;
-    stats_.items_visited = visited;
-    stats_.cpu_seconds = watch.ElapsedSeconds();
-    stats_.degraded = degraded;
-    if (!status.ok()) return status;
+      profile = ComputeHopProfile(
+          num_objects, source, w, hops,
+          [&](Timestamp t)
+              -> const std::vector<std::pair<ObjectId, ObjectId>>& {
+            return tick_pairs[static_cast<size_t>(t - w.start)];
+          });
+      return Status::OK();
+    }));
     return profile;
   }
 
@@ -352,6 +271,42 @@ class SegmentedIndex final : public ReachabilityIndex {
   }
 
  private:
+  /// Runs `body` as one query's accounting scope: resets `stats_` (which
+  /// `body` may fill with items visited and the degraded flag), then
+  /// folds the IO, page misses and pool hits this query caused across
+  /// the per-segment pools into it, plus the wall time. Pools can be
+  /// created mid-query (first touch of a segment), so the existing
+  /// pools' counters are snapshotted first and a pool absent from the
+  /// snapshot contributes its full totals. The fold runs even when
+  /// `body` fails, so partially accounted IO stays visible.
+  template <typename Body>
+  Status Accounted(Body&& body) {
+    Stopwatch watch;
+    stats_ = QueryStats{};
+    struct Before {
+      IoStats io;
+      uint64_t hits = 0;
+      uint64_t misses = 0;
+    };
+    std::unordered_map<const BufferPool*, Before> before;
+    before.reserve(pools_.size());
+    for (const auto& [id, pool] : pools_) {
+      before[pool.get()] = {pool->io_stats(), pool->hits(), pool->misses()};
+    }
+    const Status status = body();
+    IoStats io;
+    for (const auto& [id, pool] : pools_) {
+      const auto it = before.find(pool.get());
+      const Before start = it != before.end() ? it->second : Before{};
+      io += pool->io_stats() - start.io;
+      stats_.pages_fetched += pool->misses() - start.misses;
+      stats_.pool_hits += pool->hits() - start.hits;
+    }
+    stats_.io_cost = io.NormalizedReadCost();
+    stats_.cpu_seconds = watch.ElapsedSeconds();
+    return status;
+  }
+
   /// Snapshots the ingestor and loads every overlapping unit's contacts:
   /// sealed segments in ascending (cover start, seal id), the head last.
   /// Segments that fail verification (`Corruption` from the read path —

@@ -186,10 +186,10 @@ TEST(CorruptionTest, InvalidQueriesReturnCleanStatuses) {
                                ExtractContacts(*store, 20.0));
   auto graph = ReachGraphIndex::Build(network, ReachGraphOptions{});
   ASSERT_TRUE(graph.ok());
-  // Unknown object ids surface as statuses, not crashes.
+  // Unknown object ids get the brute-force oracle's answer, not a crash.
   auto bad = (*graph)->QueryBmBfs({999, 1, TimeInterval(0, 10)});
-  EXPECT_FALSE(bad.ok());
-  EXPECT_TRUE(bad.status().IsNotFound());
+  ASSERT_TRUE(bad.ok());
+  EXPECT_FALSE(bad->reachable);
 
   ReachGridOptions grid_options;
   grid_options.temporal_resolution = 5;

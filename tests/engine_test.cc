@@ -29,6 +29,8 @@
 #include "reachgraph/dn_builder.h"
 #include "reachgraph/reach_graph_index.h"
 #include "reachgrid/reach_grid_index.h"
+#include "stream/segmented_index.h"
+#include "stream/streaming_ingestor.h"
 #include "test_util.h"
 
 namespace streach {
@@ -143,6 +145,57 @@ TEST_F(EngineTest, AllBackendsAgreeWithBruteForceSequentially) {
           << backend->DescribeIndex() << " failed on " << q.ToString() << ": "
           << answer.status().ToString();
       EXPECT_EQ(answer->reachable, expected)
+          << backend->DescribeIndex() << " disagrees on " << q.ToString();
+    }
+  }
+}
+
+TEST_F(EngineTest, OutOfRangeObjectIdsGetTheOraclesAnswer) {
+  // Ids outside the population answer like BruteForceReach on every
+  // backend: a self-query holds over any non-empty clamped window, and
+  // any other query naming an unknown object is unreachable. Never a
+  // NotFound, never a crash.
+  const auto n = static_cast<ObjectId>(stack_->store.num_objects());
+  const TimeInterval window(20, 200);
+  const TimeInterval past_span(stack_->store.span().end + 10,
+                               stack_->store.span().end + 50);
+  const std::vector<ReachQuery> queries{
+      {n + 5, 1, window},                // Unknown source.
+      {1, n + 5, window},                // Unknown destination.
+      {n + 5, n + 9, window},            // Both unknown.
+      {n + 5, n + 5, window},            // Unknown self-query.
+      {n, n, window},                    // First id past the population.
+      {kInvalidObject, kInvalidObject, window},
+      {n + 5, n + 5, past_span},         // Empty clamped window.
+      {3, 3, window},                    // In-range self-query.
+  };
+
+  StreamingOptions streaming;
+  streaming.num_objects = stack_->store.num_objects();
+  streaming.span = stack_->store.span();
+  auto ingestor = StreamingIngestor::Create(streaming);
+  ASSERT_TRUE(ingestor.ok());
+  ExtractContactsTo(stack_->store, kContactRange, stack_->store.span(),
+                    JoinOptions{}, ingestor->get());
+  ASSERT_TRUE((*ingestor)->SealRemaining().ok());
+  auto backends = AllBackends();
+  backends.push_back(MakeStreamingBackend(*ingestor));
+
+  const QueryEngine engine(QueryEngineOptions{});
+  for (auto& backend : backends) {
+    auto report = engine.Run(backend.get(), queries);
+    ASSERT_TRUE(report.ok()) << backend->DescribeIndex();
+    EXPECT_EQ(report->summary.failed_queries, 0u) << backend->DescribeIndex();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const ReachQuery& q = queries[i];
+      const ReachAnswer expected = BruteForceReach(
+          *stack_->network, q.source, q.destination, q.interval);
+      EXPECT_TRUE(report->statuses[i].ok())
+          << backend->DescribeIndex() << " on " << q.ToString() << ": "
+          << report->statuses[i].ToString();
+      EXPECT_EQ(report->answers[i].reachable, expected.reachable)
+          << backend->DescribeIndex() << " disagrees on " << q.ToString();
+      EXPECT_EQ(report->answers[i].arrival_time, expected.arrival_time)
           << backend->DescribeIndex() << " disagrees on " << q.ToString();
     }
   }

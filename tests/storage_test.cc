@@ -588,6 +588,30 @@ TEST(FetchBatchTest, Depth1MatchesFetchLoopAccountingExactly) {
             loop_pool.io_stats().sequential_reads);
 }
 
+TEST(FetchBatchTest, HitsAreServedBeforeMissesEvictAtEveryDepth) {
+  // One read path at every depth: the batch serves page 1 from the pool
+  // (lifting it off the LRU tail) before the miss on page 0 evicts, so
+  // the victim is page 2 and the batch costs a single device read.
+  BlockDevice dev(16);
+  dev.AllocatePages(4);
+  for (int depth : {1, 8}) {
+    BufferPool pool(&dev, 2);
+    pool.set_io_queue_depth(depth);
+    ASSERT_TRUE(pool.Fetch(1).ok());
+    ASSERT_TRUE(pool.Fetch(2).ok());  // Full, page 1 at the LRU tail.
+    pool.ResetCounters();
+    ASSERT_TRUE(pool.FetchBatch({0, 1}).ok());
+    EXPECT_EQ(pool.hits(), 1u) << "depth=" << depth;
+    EXPECT_EQ(pool.misses(), 1u) << "depth=" << depth;
+    EXPECT_EQ(pool.io_stats().total_reads(), 1u) << "depth=" << depth;
+    ASSERT_TRUE(pool.Fetch(0).ok());  // Both batch pages stay resident.
+    ASSERT_TRUE(pool.Fetch(1).ok());
+    EXPECT_EQ(pool.misses(), 1u) << "depth=" << depth;
+    ASSERT_TRUE(pool.Fetch(2).ok());  // The victim.
+    EXPECT_EQ(pool.misses(), 2u) << "depth=" << depth;
+  }
+}
+
 TEST(FetchBatchTest, CrossShardBatchOverlapsPerShardQueues) {
   StorageTopology topo(StorageTopologyOptions{2, 16});
   topo.shard(0)->AllocatePages(4);
