@@ -294,11 +294,8 @@ Result<ReachAnswer> GrailIndex::QueryMemory(const ReachQuery& query,
     scope.Finish();
     return answer;
   };
+  if (query.source == query.destination) return SelfQueryAnswer(w);
   if (w.empty()) return finish(false);
-  if (query.source == query.destination) {
-    answer.arrival_time = w.start;
-    return finish(true);
-  }
   if (query.source >= timelines_.size() ||
       query.destination >= timelines_.size()) {
     return finish(false);
@@ -325,11 +322,8 @@ Result<ReachAnswer> GrailIndex::QueryDisk(const ReachQuery& query,
     return answer;
   };
   const TimeInterval w = query.interval.Intersect(span_);
+  if (query.source == query.destination) return SelfQueryAnswer(w);
   if (w.empty()) return finish(false);
-  if (query.source == query.destination) {
-    answer.arrival_time = w.start;
-    return finish(true);
-  }
   if (query.source >= timeline_extents_.size() ||
       query.destination >= timeline_extents_.size()) {
     return finish(false);

@@ -90,26 +90,77 @@ Result<ReachAnswer> SpjEvaluator::Query(const ReachQuery& query) {
 Result<ReachAnswer> SpjEvaluator::Query(const ReachQuery& query,
                                         BufferPool* pool,
                                         QueryStats* stats) const {
+  if (query.source == query.destination) {
+    QueryScope scope(pool, stats);  // Records a query that read nothing.
+    return SelfQueryAnswer(query.interval.Intersect(span_));
+  }
+  auto sets =
+      Closure({query.source}, query.interval, query.destination, pool, stats);
+  if (!sets.ok()) return sets.status();
+  return AnswerFromSet((*sets)[0], query.destination);
+}
+
+Result<std::vector<Timestamp>> SpjEvaluator::ReachableSet(
+    ObjectId source, TimeInterval interval) {
+  return ReachableSet(source, interval, &pool_, &last_stats_);
+}
+
+Result<std::vector<Timestamp>> SpjEvaluator::ReachableSet(
+    ObjectId source, TimeInterval interval, BufferPool* pool,
+    QueryStats* stats) const {
+  auto sets = Closure({source}, interval, kInvalidObject, pool, stats);
+  if (!sets.ok()) return sets.status();
+  return std::move((*sets)[0]);
+}
+
+Result<std::vector<std::vector<Timestamp>>> SpjEvaluator::ReachableSets(
+    const std::vector<ObjectId>& sources, TimeInterval interval) {
+  return ReachableSets(sources, interval, &pool_, &last_stats_);
+}
+
+Result<std::vector<std::vector<Timestamp>>> SpjEvaluator::ReachableSets(
+    const std::vector<ObjectId>& sources, TimeInterval interval,
+    BufferPool* pool, QueryStats* stats) const {
+  return Closure(sources, interval, kInvalidObject, pool, stats);
+}
+
+Result<std::vector<ReachProfileEntry>> SpjEvaluator::ConstrainedProfile(
+    ObjectId source, TimeInterval interval, const HopConstraints& hops) {
+  return ConstrainedProfile(source, interval, hops, &pool_, &last_stats_);
+}
+
+Result<std::vector<ReachProfileEntry>> SpjEvaluator::ConstrainedProfile(
+    ObjectId source, TimeInterval interval, const HopConstraints& hops,
+    BufferPool* pool, QueryStats* stats) const {
   QueryScope scope(pool, stats);
-  ReachAnswer answer;
-  auto finish = [&](bool reachable, Timestamp arrival) {
-    answer.reachable = reachable;
-    answer.arrival_time = arrival;
+  const TimeInterval w = interval.Intersect(span_);
+  if (w.empty() || source >= num_objects_) {
     scope.Finish();
-    return answer;
+    return std::vector<ReachProfileEntry>(num_objects_);
+  }
+  // The transfer-level recursion revisits every tick per level, but
+  // contact pairs are a property of the positions alone, so the scan joins
+  // them a single time and the level loop runs over the materialized
+  // per-tick pair lists in memory.
+  std::vector<ContactPairs> tick_pairs(static_cast<size_t>(w.length()));
+  auto keep = [&](Timestamp t, ContactPairs pairs) {
+    tick_pairs[static_cast<size_t>(t - w.start)] = std::move(pairs);
+    return true;
   };
+  STREACH_RETURN_NOT_OK(ScanContacts(w, pool, keep));
+  auto profile = ComputeHopProfile(
+      num_objects_, source, w, hops,
+      [&](Timestamp t) -> const ContactPairs& {
+        return tick_pairs[static_cast<size_t>(t - w.start)];
+      });
+  scope.Finish();
+  return profile;
+}
 
-  const TimeInterval w = query.interval.Intersect(span_);
-  if (w.empty()) return finish(false, kInvalidTime);
-  if (query.source == query.destination) return finish(true, w.start);
-  if (query.source >= num_objects_) return finish(false, kInvalidTime);
-
+Status SpjEvaluator::ScanContacts(TimeInterval w, BufferPool* pool,
+                                  const TickVisitor& visit) const {
   const double dt = options_.contact_range;
   const double dt_sq = dt * dt;
-  std::vector<bool> infected(num_objects_, false);
-  infected[query.source] = true;
-  UnionFind uf(num_objects_);
-
   const int first_slab =
       static_cast<int>((w.start - span_.start) / options_.slab_ticks);
   const int last_slab =
@@ -124,17 +175,15 @@ Result<ReachAnswer> SpjEvaluator::Query(const ReachQuery& query,
   const std::vector<Extent> wanted(
       slab_extents_.begin() + first_slab,
       slab_extents_.begin() + last_slab + 1);
-  auto slabs_result = ReadExtentsBatched(pool, wanted, options_.page_size);
-  if (!slabs_result.ok()) return slabs_result.status();
-  std::vector<std::string> slabs = std::move(*slabs_result);
+  auto slabs = ReadExtentsBatched(pool, wanted, options_.page_size);
+  if (!slabs.ok()) return slabs.status();
 
-  // Phase 2 — join + traverse in memory (CPU-side early exit is allowed;
-  // the IO is already spent).
+  // Phase 2 — the per-tick self-join in memory, cell side dT.
   std::vector<Point> positions;  // Object-major slab positions.
   for (int slab = first_slab; slab <= last_slab; ++slab) {
     const TimeInterval sw = SlabInterval(slab);
     const auto slab_ticks = static_cast<size_t>(sw.length());
-    Decoder dec(slabs[static_cast<size_t>(slab - first_slab)]);
+    Decoder dec((*slabs)[static_cast<size_t>(slab - first_slab)]);
     positions.assign(num_objects_ * slab_ticks, Point());
     for (size_t i = 0; i < positions.size(); ++i) {
       auto x = dec.GetDouble();
@@ -158,12 +207,11 @@ Result<ReachAnswer> SpjEvaluator::Query(const ReachQuery& query,
 
     const TimeInterval tw = sw.Intersect(w);
     for (Timestamp t = tw.start; t <= tw.end; ++t) {
-      // Per-tick self-join with cell side dT.
       buckets.clear();
       for (ObjectId o = 0; o < num_objects_; ++o) {
         buckets[grid.CellOf(position_of(o, t))].push_back(o);
       }
-      std::vector<std::pair<ObjectId, ObjectId>> pairs;
+      ContactPairs pairs;
       for (const auto& [cell, mine] : buckets) {
         const int row = grid.RowOfCell(cell);
         const int col = grid.ColOfCell(cell);
@@ -195,168 +243,15 @@ Result<ReachAnswer> SpjEvaluator::Query(const ReachQuery& query,
           }
         }
       }
-      // Infection step: every snapshot component containing an infected
-      // object becomes fully infected.
-      if (pairs.empty()) continue;
-      uf.Reset();
-      for (const auto& [a, b] : pairs) uf.Union(a, b);
-      std::unordered_map<uint32_t, bool> component_infected;
-      for (const auto& [a, b] : pairs) {
-        auto [it, inserted] = component_infected.try_emplace(uf.Find(a), false);
-        it->second = it->second || infected[a] || infected[b];
-      }
-      for (const auto& [a, b] : pairs) {
-        if (!component_infected[uf.Find(a)]) continue;
-        infected[a] = true;
-        infected[b] = true;
-      }
-      if (query.destination < num_objects_ && infected[query.destination]) {
-        return finish(true, t);
-      }
+      if (!visit(t, std::move(pairs))) return Status::OK();
     }
   }
-  return finish(false, kInvalidTime);
-}
-
-Result<std::vector<Timestamp>> SpjEvaluator::ReachableSet(
-    ObjectId source, TimeInterval interval) {
-  return ReachableSet(source, interval, &pool_, &last_stats_);
-}
-
-Result<std::vector<Timestamp>> SpjEvaluator::ReachableSet(
-    ObjectId source, TimeInterval interval, BufferPool* pool,
-    QueryStats* stats) const {
-  auto sets = Closure({source}, interval, pool, stats);
-  if (!sets.ok()) return sets.status();
-  return std::move((*sets)[0]);
-}
-
-Result<std::vector<std::vector<Timestamp>>> SpjEvaluator::ReachableSets(
-    const std::vector<ObjectId>& sources, TimeInterval interval) {
-  return ReachableSets(sources, interval, &pool_, &last_stats_);
-}
-
-Result<std::vector<std::vector<Timestamp>>> SpjEvaluator::ReachableSets(
-    const std::vector<ObjectId>& sources, TimeInterval interval,
-    BufferPool* pool, QueryStats* stats) const {
-  return Closure(sources, interval, pool, stats);
-}
-
-Result<std::vector<ReachProfileEntry>> SpjEvaluator::ConstrainedProfile(
-    ObjectId source, TimeInterval interval, const HopConstraints& hops) {
-  return ConstrainedProfile(source, interval, hops, &pool_, &last_stats_);
-}
-
-Result<std::vector<ReachProfileEntry>> SpjEvaluator::ConstrainedProfile(
-    ObjectId source, TimeInterval interval, const HopConstraints& hops,
-    BufferPool* pool, QueryStats* stats) const {
-  QueryScope scope(pool, stats);
-  const TimeInterval w = interval.Intersect(span_);
-  if (w.empty() || source >= num_objects_) {
-    scope.Finish();
-    return std::vector<ReachProfileEntry>(num_objects_);
-  }
-
-  const double dt = options_.contact_range;
-  const double dt_sq = dt * dt;
-
-  const int first_slab =
-      static_cast<int>((w.start - span_.start) / options_.slab_ticks);
-  const int last_slab =
-      static_cast<int>((w.end - span_.start) / options_.slab_ticks);
-
-  // Phase 1 — exactly Query's scan, once: the transfer-level recursion
-  // revisits every tick per level, but contact pairs are a property of
-  // the positions alone, so they are joined a single time and the level
-  // loop runs over the materialized per-tick pair lists in memory.
-  const std::vector<Extent> wanted(
-      slab_extents_.begin() + first_slab,
-      slab_extents_.begin() + last_slab + 1);
-  auto slabs_result = ReadExtentsBatched(pool, wanted, options_.page_size);
-  if (!slabs_result.ok()) return slabs_result.status();
-  std::vector<std::string> slabs = std::move(*slabs_result);
-
-  std::vector<std::vector<std::pair<ObjectId, ObjectId>>> tick_pairs(
-      static_cast<size_t>(w.length()));
-  std::vector<Point> positions;
-  for (int slab = first_slab; slab <= last_slab; ++slab) {
-    const TimeInterval sw = SlabInterval(slab);
-    const auto slab_ticks = static_cast<size_t>(sw.length());
-    Decoder dec(slabs[static_cast<size_t>(slab - first_slab)]);
-    positions.assign(num_objects_ * slab_ticks, Point());
-    for (size_t i = 0; i < positions.size(); ++i) {
-      auto x = dec.GetDouble();
-      auto y = dec.GetDouble();
-      if (!x.ok() || !y.ok()) return Status::Corruption("slab positions");
-      positions[i] = Point(*x, *y);
-    }
-    auto position_of = [&](ObjectId o, Timestamp t) -> const Point& {
-      return positions[static_cast<size_t>(o) * slab_ticks +
-                       static_cast<size_t>(t - sw.start)];
-    };
-
-    Rect extent;
-    for (const Point& p : positions) extent.ExpandToInclude(p);
-    if (extent.Width() <= 0 || extent.Height() <= 0) {
-      extent = extent.Padded(1.0);
-    }
-    UniformGrid2D grid(extent, dt);
-    std::unordered_map<CellId, std::vector<ObjectId>> buckets;
-
-    const TimeInterval tw = sw.Intersect(w);
-    for (Timestamp t = tw.start; t <= tw.end; ++t) {
-      buckets.clear();
-      for (ObjectId o = 0; o < num_objects_; ++o) {
-        buckets[grid.CellOf(position_of(o, t))].push_back(o);
-      }
-      std::vector<std::pair<ObjectId, ObjectId>>& pairs =
-          tick_pairs[static_cast<size_t>(t - w.start)];
-      for (const auto& [cell, mine] : buckets) {
-        const int row = grid.RowOfCell(cell);
-        const int col = grid.ColOfCell(cell);
-        for (size_t i = 0; i < mine.size(); ++i) {
-          for (size_t j = i + 1; j < mine.size(); ++j) {
-            if (Point::DistanceSquared(position_of(mine[i], t),
-                                       position_of(mine[j], t)) < dt_sq) {
-              pairs.emplace_back(mine[i], mine[j]);
-            }
-          }
-        }
-        static constexpr int kForward[4][2] = {
-            {0, 1}, {1, -1}, {1, 0}, {1, 1}};
-        for (const auto& d : kForward) {
-          const int nr = row + d[0];
-          const int nc = col + d[1];
-          if (nr < 0 || nr >= grid.rows() || nc < 0 || nc >= grid.cols()) {
-            continue;
-          }
-          auto other = buckets.find(grid.CellAt(nr, nc));
-          if (other == buckets.end()) continue;
-          for (ObjectId a : mine) {
-            for (ObjectId b : other->second) {
-              if (Point::DistanceSquared(position_of(a, t),
-                                         position_of(b, t)) < dt_sq) {
-                pairs.emplace_back(a, b);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-
-  auto profile = ComputeHopProfile(
-      num_objects_, source, w, hops,
-      [&](Timestamp t) -> const std::vector<std::pair<ObjectId, ObjectId>>& {
-        return tick_pairs[static_cast<size_t>(t - w.start)];
-      });
-  scope.Finish();
-  return profile;
+  return Status::OK();
 }
 
 Result<std::vector<std::vector<Timestamp>>> SpjEvaluator::Closure(
     const std::vector<ObjectId>& sources, TimeInterval interval,
-    BufferPool* pool, QueryStats* stats) const {
+    ObjectId destination, BufferPool* pool, QueryStats* stats) const {
   QueryScope scope(pool, stats);
   const size_t num_sources = sources.size();
   std::vector<std::vector<Timestamp>> sets(
@@ -382,121 +277,51 @@ Result<std::vector<std::vector<Timestamp>>> SpjEvaluator::Closure(
     return sets;
   }
 
-  const double dt = options_.contact_range;
-  const double dt_sq = dt * dt;
+  // Join once, propagate per lane group. The contact pairs of a tick are
+  // a property of the positions alone, so every source shares one
+  // union-find pass; only the mask OR-propagation repeats per chunk.
   UnionFind uf(num_objects_);
-
-  const int first_slab =
-      static_cast<int>((w.start - span_.start) / options_.slab_ticks);
-  const int last_slab =
-      static_cast<int>((w.end - span_.start) / options_.slab_ticks);
-
-  // Phase 1 — exactly Query's scan: the overlapping slab range goes out
-  // as one batch, and it is the whole IO bill of the closure no matter
-  // how many sources share it.
-  const std::vector<Extent> wanted(
-      slab_extents_.begin() + first_slab,
-      slab_extents_.begin() + last_slab + 1);
-  auto slabs_result = ReadExtentsBatched(pool, wanted, options_.page_size);
-  if (!slabs_result.ok()) return slabs_result.status();
-  std::vector<std::string> slabs = std::move(*slabs_result);
-
-  // Phase 2 — join once, propagate per lane group. The contact pairs of a
-  // tick are a property of the positions alone, so every source shares
-  // one union-find pass; only the mask OR-propagation repeats per chunk.
-  std::vector<Point> positions;
-  for (int slab = first_slab; slab <= last_slab; ++slab) {
-    const TimeInterval sw = SlabInterval(slab);
-    const auto slab_ticks = static_cast<size_t>(sw.length());
-    Decoder dec(slabs[static_cast<size_t>(slab - first_slab)]);
-    positions.assign(num_objects_ * slab_ticks, Point());
-    for (size_t i = 0; i < positions.size(); ++i) {
-      auto x = dec.GetDouble();
-      auto y = dec.GetDouble();
-      if (!x.ok() || !y.ok()) return Status::Corruption("slab positions");
-      positions[i] = Point(*x, *y);
+  auto reached_destination = [&]() {
+    if (destination >= num_objects_) return false;
+    for (const std::vector<uint64_t>& lane_infected : infected) {
+      if (lane_infected[destination] != 0) return true;
     }
-    auto position_of = [&](ObjectId o, Timestamp t) -> const Point& {
-      return positions[static_cast<size_t>(o) * slab_ticks +
-                       static_cast<size_t>(t - sw.start)];
-    };
-
-    Rect extent;
-    for (const Point& p : positions) extent.ExpandToInclude(p);
-    if (extent.Width() <= 0 || extent.Height() <= 0) {
-      extent = extent.Padded(1.0);
-    }
-    UniformGrid2D grid(extent, dt);
-    std::unordered_map<CellId, std::vector<ObjectId>> buckets;
-
-    const TimeInterval tw = sw.Intersect(w);
-    for (Timestamp t = tw.start; t <= tw.end; ++t) {
-      buckets.clear();
-      for (ObjectId o = 0; o < num_objects_; ++o) {
-        buckets[grid.CellOf(position_of(o, t))].push_back(o);
+    return false;
+  };
+  auto propagate = [&](Timestamp t, const ContactPairs& pairs) {
+    if (pairs.empty()) return true;
+    uf.Reset();
+    for (const auto& [a, b] : pairs) uf.Union(a, b);
+    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
+      std::vector<uint64_t>& lane_infected = infected[chunk];
+      // A snapshot component's mask is the OR of its members' masks at
+      // tick start; every member then acquires the whole mask — the
+      // masked form of "every component containing an infected object
+      // becomes fully infected".
+      std::unordered_map<uint32_t, uint64_t> component_mask;
+      for (const auto& [a, b] : pairs) {
+        component_mask[uf.Find(a)] |= lane_infected[a] | lane_infected[b];
       }
-      std::vector<std::pair<ObjectId, ObjectId>> pairs;
-      for (const auto& [cell, mine] : buckets) {
-        const int row = grid.RowOfCell(cell);
-        const int col = grid.ColOfCell(cell);
-        for (size_t i = 0; i < mine.size(); ++i) {
-          for (size_t j = i + 1; j < mine.size(); ++j) {
-            if (Point::DistanceSquared(position_of(mine[i], t),
-                                       position_of(mine[j], t)) < dt_sq) {
-              pairs.emplace_back(mine[i], mine[j]);
-            }
-          }
-        }
-        static constexpr int kForward[4][2] = {
-            {0, 1}, {1, -1}, {1, 0}, {1, 1}};
-        for (const auto& d : kForward) {
-          const int nr = row + d[0];
-          const int nc = col + d[1];
-          if (nr < 0 || nr >= grid.rows() || nc < 0 || nc >= grid.cols()) {
-            continue;
-          }
-          auto other = buckets.find(grid.CellAt(nr, nc));
-          if (other == buckets.end()) continue;
-          for (ObjectId a : mine) {
-            for (ObjectId b : other->second) {
-              if (Point::DistanceSquared(position_of(a, t),
-                                         position_of(b, t)) < dt_sq) {
-                pairs.emplace_back(a, b);
-              }
-            }
-          }
-        }
-      }
-      if (pairs.empty()) continue;
-      uf.Reset();
-      for (const auto& [a, b] : pairs) uf.Union(a, b);
-      for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-        std::vector<uint64_t>& lane_infected = infected[chunk];
-        // A snapshot component's mask is the OR of its members' masks at
-        // tick start; every member then acquires the whole mask — the
-        // masked form of "every component containing an infected object
-        // becomes fully infected".
-        std::unordered_map<uint32_t, uint64_t> component_mask;
-        for (const auto& [a, b] : pairs) {
-          component_mask[uf.Find(a)] |= lane_infected[a] | lane_infected[b];
-        }
-        for (const auto& [a, b] : pairs) {
-          const uint64_t comp = component_mask[uf.Find(a)];
-          for (ObjectId x : {a, b}) {
-            const uint64_t add = comp & ~lane_infected[x];
-            if (add == 0) continue;
-            lane_infected[x] = comp;
-            uint64_t lanes = add;
-            while (lanes != 0) {
-              const int bit = __builtin_ctzll(lanes);
-              sets[chunk * 64 + static_cast<size_t>(bit)][x] = t;
-              lanes &= lanes - 1;
-            }
+      for (const auto& [a, b] : pairs) {
+        const uint64_t comp = component_mask[uf.Find(a)];
+        for (ObjectId x : {a, b}) {
+          const uint64_t add = comp & ~lane_infected[x];
+          if (add == 0) continue;
+          lane_infected[x] = comp;
+          uint64_t lanes = add;
+          while (lanes != 0) {
+            const int bit = __builtin_ctzll(lanes);
+            sets[chunk * 64 + static_cast<size_t>(bit)][x] = t;
+            lanes &= lanes - 1;
           }
         }
       }
     }
-  }
+    // The join stops at the tick that reaches the destination; the scan
+    // is already spent, so this saves CPU only.
+    return !reached_destination();
+  };
+  STREACH_RETURN_NOT_OK(ScanContacts(w, pool, propagate));
   scope.Finish();
   return sets;
 }

@@ -1,7 +1,9 @@
 #ifndef STREACH_BASELINES_SPJ_H_
 #define STREACH_BASELINES_SPJ_H_
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/query_stats.h"
@@ -45,6 +47,10 @@ class SpjEvaluator {
   static Result<std::unique_ptr<SpjEvaluator>> Build(
       const TrajectoryStore& store, const SpjOptions& options);
 
+  /// Evaluates a reachability query. A self-query answers like
+  /// `BruteForceReach` with no IO; any other query is a one-source
+  /// closure whose join stops at the tick that reaches the destination
+  /// (the scan itself is read in full either way).
   Result<ReachAnswer> Query(const ReachQuery& query);
 
   /// Re-entrant query path: scans through the caller's buffer pool and
@@ -54,11 +60,9 @@ class SpjEvaluator {
                             QueryStats* stats) const;
 
   /// Infection time of every object reachable from `source` during
-  /// `interval` (kInvalidTime for unreached). The slab sweep Query runs
-  /// already computes the whole closure as a side effect — this entry
-  /// point keeps the per-tick infection ticks instead of discarding them,
-  /// which is what lets the engine's result cache memoize SPJ point
-  /// queries.
+  /// `interval` (kInvalidTime for unreached): the one-source closure,
+  /// joined to the end of the window, which is what lets the engine's
+  /// result cache memoize SPJ point queries.
   Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
                                               TimeInterval interval);
   Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
@@ -79,9 +83,10 @@ class SpjEvaluator {
       BufferPool* pool, QueryStats* stats) const;
 
   /// Constrained reachability profile (network/hop_profile.h semantics)
-  /// from one slab scan: the per-tick contact pairs are materialized once
-  /// — they depend on positions alone — and the transfer-level recursion
-  /// runs over them in memory, so the IO bill matches a single closure.
+  /// from the same slab scan: the per-tick contact pairs are materialized
+  /// once — they depend on positions alone — and the transfer-level
+  /// recursion runs over them in memory, so the IO bill matches a single
+  /// closure.
   Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
       ObjectId source, TimeInterval interval, const HopConstraints& hops);
   Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
@@ -127,11 +132,24 @@ class SpjEvaluator {
   Status WriteSlabs(const TrajectoryStore& store);
   TimeInterval SlabInterval(int slab) const;
 
-  /// Shared closure core behind both ReachableSet entry points: one slab
-  /// scan, one join, per-lane infection masks.
+  using ContactPairs = std::vector<std::pair<ObjectId, ObjectId>>;
+  /// Receives one tick's contact pairs; returns false to stop the scan.
+  using TickVisitor = std::function<bool(Timestamp t, ContactPairs pairs)>;
+
+  /// The one slab scan behind every entry point: reads the slabs that
+  /// overlap `w` (non-empty, clamped to the span) as one batch — the
+  /// baseline's whole IO bill — then self-joins them tick by tick and
+  /// hands each tick's contact pairs to `visit` in time order.
+  Status ScanContacts(TimeInterval w, BufferPool* pool,
+                      const TickVisitor& visit) const;
+
+  /// The closure behind `Query`, `ReachableSet` and `ReachableSets`: one
+  /// scan, one union-find pass per tick, per-lane infection masks. A
+  /// `destination` other than kInvalidObject stops the join at the first
+  /// tick that reaches it.
   Result<std::vector<std::vector<Timestamp>>> Closure(
       const std::vector<ObjectId>& sources, TimeInterval interval,
-      BufferPool* pool, QueryStats* stats) const;
+      ObjectId destination, BufferPool* pool, QueryStats* stats) const;
 
   SpjOptions options_;
   StorageTopology topology_;

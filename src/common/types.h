@@ -6,6 +6,7 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <vector>
 
 namespace streach {
 
@@ -157,6 +158,32 @@ struct ReachAnswer {
   /// arrival times, e.g. vertex-level baselines).
   Timestamp arrival_time = kInvalidTime;
 };
+
+/// A self-query's answer, by `BruteForceReach`'s rule: the item sits at
+/// its source on every tick of the clamped window `w`, so the query holds
+/// iff `w` is non-empty, arriving at `w.start` — for any id, known or not.
+inline ReachAnswer SelfQueryAnswer(TimeInterval w) {
+  ReachAnswer answer;
+  if (!w.empty()) {
+    answer.reachable = true;
+    answer.arrival_time = w.start;
+  }
+  return answer;
+}
+
+/// Point answer derived from a reachable set: the set holds every
+/// object's infection time (kInvalidTime when unreached), which is
+/// exactly the earliest arrival a point query reports.
+inline ReachAnswer AnswerFromSet(const std::vector<Timestamp>& infection_times,
+                                 ObjectId destination) {
+  ReachAnswer answer;
+  if (destination < infection_times.size() &&
+      infection_times[destination] != kInvalidTime) {
+    answer.reachable = true;
+    answer.arrival_time = infection_times[destination];
+  }
+  return answer;
+}
 
 }  // namespace streach
 

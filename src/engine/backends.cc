@@ -96,16 +96,10 @@ class ReachGridBackend : public ReachabilityIndex {
 
   Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
                                               TimeInterval interval) override {
-    if (frontier_ != nullptr) {
-      // Parallel frontier rounds: route through the shared-frontier sweep
-      // (identical answers; page order may differ from the sequential
-      // sweep).
-      auto sets = index_->ReachableSets({source}, interval, pool_.get(),
-                                        &stats_, frontier_.get());
-      if (!sets.ok()) return sets.status();
-      return std::move((*sets)[0]);
-    }
-    return index_->ReachableSet(source, interval, pool_.get(), &stats_);
+    auto sets = index_->ReachableSets({source}, interval, pool_.get(),
+                                      &stats_, frontier_.get());
+    if (!sets.ok()) return sets.status();
+    return std::move((*sets)[0]);
   }
 
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(

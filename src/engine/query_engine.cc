@@ -59,11 +59,12 @@ class WorkerCache {
   /// returns its status; nullopt when the session has no usable set
   /// cache, so the caller takes its own uncached path. A backend whose
   /// `ReachableSet` is NotSupported only answers point queries and is
-  /// not probed again.
+  /// not probed again. Self-queries are never answered from a set: no
+  /// set shows one holding for an id outside the population.
   std::optional<Status> Point(ObjectId source, ObjectId destination,
                               TimeInterval interval, ReachAnswer* answer,
                               QueryStats* stats) {
-    if (!sets_) return std::nullopt;
+    if (!sets_ || source == destination) return std::nullopt;
     ResultCache::SetPtr set = cache_->Lookup(identity_, source, interval);
     if (set == nullptr) {
       auto computed = session_->ReachableSet(source, interval);

@@ -54,15 +54,15 @@ struct QueryEngineOptions {
   /// Worker threads each session's closure sweeps may use for intra-query
   /// frontier expansion (`ReachabilityIndex::SetTraversalThreads`),
   /// orthogonal to `num_threads` (inter-query parallelism). 1 — the
-  /// default — keeps every sweep on its session's thread, reproducing the
-  /// historical answers and page sequence exactly; backends without a
-  /// parallel sweep ignore it. Answers never depend on the setting.
+  /// default — keeps every sweep on its session's thread; backends
+  /// without a parallel sweep ignore it. Answers never depend on the
+  /// setting.
   int traversal_threads = 1;
 
   /// Sources per `ReachableSets` batch in `RunClosures`: consecutive
   /// groups of this many sources are evaluated as one shared-frontier
   /// sweep, deduplicating page fetches across the group's seeds. 1 — the
-  /// default — evaluates every source as its own single-source sweep.
+  /// default — evaluates every source as its own one-source sweep.
   /// Answers are identical at every setting; the IO bill is not: a batch
   /// reads each hot page once instead of once per source.
   int batch_sources = 1;

@@ -159,17 +159,6 @@ FamilyAnswer RankTopK(const QuerySpec& spec,
   return answer;
 }
 
-ReachAnswer AnswerFromSet(const std::vector<Timestamp>& infection_times,
-                          ObjectId destination) {
-  ReachAnswer answer;
-  if (destination < infection_times.size() &&
-      infection_times[destination] != kInvalidTime) {
-    answer.reachable = true;
-    answer.arrival_time = infection_times[destination];
-  }
-  return answer;
-}
-
 Result<FamilyAnswer> EvaluateFamily(ReachabilityIndex* backend,
                                     const QuerySpec& spec) {
   switch (spec.family) {
@@ -178,13 +167,17 @@ Result<FamilyAnswer> EvaluateFamily(ReachabilityIndex* backend,
       answer.family = spec.family;
       // The set route reports the arrival time on every set-capable
       // backend (and is what the engine's result cache memoizes); only
-      // point-query-only backends downgrade to the bare point answer.
-      auto set = backend->ReachableSet(spec.source, spec.interval);
-      if (set.ok()) {
-        answer.point = AnswerFromSet(*set, spec.destination);
-        return answer;
+      // point-query-only backends downgrade to the bare point answer. A
+      // self-query goes to Query: no set shows one holding for an id
+      // outside the population.
+      if (spec.source != spec.destination) {
+        auto set = backend->ReachableSet(spec.source, spec.interval);
+        if (set.ok()) {
+          answer.point = AnswerFromSet(*set, spec.destination);
+          return answer;
+        }
+        if (!set.status().IsNotSupported()) return set.status();
       }
-      if (!set.status().IsNotSupported()) return set.status();
       ReachQuery query;
       query.source = spec.source;
       query.destination = spec.destination;

@@ -139,12 +139,6 @@ int32_t MaxTransfersAtOrAbove(double retention, double floor_value);
 /// non-hop family.
 Result<HopConstraints> ResolveHops(const QuerySpec& spec);
 
-/// Point answer derived from a full reachable set: the set holds every
-/// object's infection time (kInvalidTime when unreached), which is
-/// exactly the earliest arrival a point query reports.
-ReachAnswer AnswerFromSet(const std::vector<Timestamp>& infection_times,
-                          ObjectId destination);
-
 /// Derives the family answer from the spec's constrained profile
 /// (decay / k-hop: the profile itself; threshold: the destination's point
 /// answer and chain probability).

@@ -89,9 +89,8 @@ class ReachabilityIndex {
   /// Worker threads a closure sweep on this session may use for its
   /// per-round frontier expansion (`FrontierPool`). 1 — the default —
   /// keeps every sweep on the calling thread; backends without a parallel
-  /// sweep ignore it. Answers never depend on the thread count; at 1
-  /// thread and a single source the page sequence is the historical one
-  /// exactly. Sessions minted by `NewSession()` inherit the setting.
+  /// sweep ignore it. Answers never depend on the thread count. Sessions
+  /// minted by `NewSession()` inherit the setting.
   virtual void SetTraversalThreads(int threads) { (void)threads; }
 
   /// Cost metrics of the most recent Query/ReachableSet on this session.

@@ -41,15 +41,10 @@ std::vector<Timestamp> BruteForceClosure(const ContactNetwork& network,
 
 ReachAnswer BruteForceReach(const ContactNetwork& network, ObjectId source,
                             ObjectId destination, TimeInterval interval) {
-  ReachAnswer answer;
-  if (source == destination) {
-    const TimeInterval w = interval.Intersect(network.span());
-    answer.reachable = !w.empty();
-    answer.arrival_time = w.empty() ? kInvalidTime : w.start;
-    return answer;
-  }
-  // Early-terminating sweep: stop as soon as the destination is infected.
   const TimeInterval w = interval.Intersect(network.span());
+  if (source == destination) return SelfQueryAnswer(w);
+  // Early-terminating sweep: stop as soon as the destination is infected.
+  ReachAnswer answer;
   if (w.empty() || source >= network.num_objects() ||
       destination >= network.num_objects()) {
     return answer;

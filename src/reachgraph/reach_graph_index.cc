@@ -380,91 +380,9 @@ Result<std::vector<Timestamp>> ReachGraphIndex::ReachableSet(
 Result<std::vector<Timestamp>> ReachGraphIndex::ReachableSet(
     ObjectId source, TimeInterval interval, BufferPool* pool,
     QueryStats* stats) const {
-  QueryScope scope(pool, stats);
-  std::vector<Timestamp> infection(num_objects_, kInvalidTime);
-  const TimeInterval w = interval.Intersect(span_);
-  auto finish = [&]() {
-    scope.Finish();
-    return infection;
-  };
-  if (w.empty() || source >= num_objects_) return finish();
-  infection[source] = w.start;
-
-  TraversalScratch scratch;
-  scratch.pool = pool;
-
-  // Time-ordered Dijkstra over components: an entry says "the item
-  // enters `vertex` at tick `enter`". Pops are monotonically
-  // non-decreasing in `enter` (every push derives from the current pop
-  // time), so the first pop of a vertex carries its earliest entry and
-  // each vertex is expanded exactly once.
-  struct Entry {
-    Timestamp enter;
-    VertexId vertex;
-    bool operator>(const Entry& o) const {
-      return enter > o.enter || (enter == o.enter && vertex > o.vertex);
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  std::unordered_set<VertexId> done;
-  std::vector<VertexId> pushed;
-
-  // An object infected at `from` carries the item into every later
-  // component on its timeline that the query window still covers.
-  auto push_object = [&](Timestamp from,
-                         const std::vector<DnGraph::TimelineEntry>& timeline) {
-    for (const auto& entry : timeline) {
-      if (entry.span.end < from || entry.span.start > w.end) continue;
-      if (done.count(entry.vertex) != 0) continue;
-      heap.push({std::max(from, entry.span.start), entry.vertex});
-      pushed.push_back(entry.vertex);
-    }
-  };
-
-  {
-    auto timeline = ReadTimeline(source, pool);
-    if (!timeline.ok()) return timeline.status();
-    pushed.clear();
-    push_object(w.start, *timeline);
-    STREACH_RETURN_NOT_OK(PrefetchVertices(pushed, &scratch));
-  }
-
-  std::vector<ObjectId> newly;
-  std::vector<Extent> extents;
-  while (!heap.empty()) {
-    const Entry top = heap.top();
-    heap.pop();
-    if (!done.insert(top.vertex).second) continue;
-    scope.AddItemsVisited(1);
-    auto sv = GetVertex(top.vertex, &scratch);
-    if (!sv.ok()) return sv.status();
-    // Members are mutually reachable at every instant of the vertex
-    // span (Property 5.1), so everyone aboard is infected the tick the
-    // item enters.
-    newly.clear();
-    for (ObjectId o : (*sv)->members) {
-      if (o < num_objects_ && infection[o] == kInvalidTime) {
-        infection[o] = top.enter;
-        newly.push_back(o);
-      }
-    }
-    if (newly.empty()) continue;
-    // The sweep's IO pattern: one batched read for the new members'
-    // timelines, then one batched prefetch for the partitions their
-    // entries point at (the prefetch is a no-op at queue depth 1).
-    extents.clear();
-    for (ObjectId o : newly) extents.push_back(timeline_extents_[o]);
-    auto blobs = ReadExtentsBatched(pool, extents, options_.page_size);
-    if (!blobs.ok()) return blobs.status();
-    pushed.clear();
-    for (size_t k = 0; k < newly.size(); ++k) {
-      auto timeline = ParseTimeline((*blobs)[k]);
-      if (!timeline.ok()) return timeline.status();
-      push_object(top.enter, *timeline);
-    }
-    STREACH_RETURN_NOT_OK(PrefetchVertices(pushed, &scratch));
-  }
-  return finish();
+  auto sets = ReachableSets({source}, interval, pool, stats);
+  if (!sets.ok()) return sets.status();
+  return std::move((*sets)[0]);
 }
 
 Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
@@ -475,15 +393,6 @@ Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
 Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
     const std::vector<ObjectId>& sources, TimeInterval interval,
     BufferPool* pool, QueryStats* stats) const {
-  if (sources.size() == 1) {
-    // Hard compatibility contract: a singleton batch IS the historical
-    // single-source sweep — same answers, same page sequence.
-    auto set = ReachableSet(sources[0], interval, pool, stats);
-    if (!set.ok()) return set.status();
-    std::vector<std::vector<Timestamp>> sets;
-    sets.push_back(std::move(*set));
-    return sets;
-  }
   QueryScope scope(pool, stats);
   const size_t num_sources = sources.size();
   std::vector<std::vector<Timestamp>> sets(
@@ -496,7 +405,7 @@ Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
 
   // Batch-shared read state: partitions parse once into the scratch, and
   // every object's timeline is read/parsed at most once no matter how
-  // many sources sweep over it — the per-source loop pays both again for
+  // many sources sweep over it — a per-source loop pays both again for
   // every seed.
   TraversalScratch scratch;
   scratch.pool = pool;
@@ -529,11 +438,12 @@ Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
     return Status::OK();
   };
 
-  // Lanes of 64 sources share one masked time-ordered Dijkstra: an entry
-  // says "these lanes' items enter `vertex` at tick `enter`", and a
-  // vertex is expanded once per lane (the arrived mask filters pops), so
-  // restricting any run to a single lane replays the single-source sweep
-  // move for move.
+  // Lanes of 64 sources share one masked time-ordered Dijkstra over
+  // components: an entry says "these lanes' items enter `vertex` at tick
+  // `enter`". Pops are monotonically non-decreasing in `enter` (every
+  // push derives from the current pop time), so a lane's first pop of a
+  // vertex carries its earliest entry, and the arrived mask expands each
+  // vertex once per lane.
   struct Entry {
     Timestamp enter;
     VertexId vertex;
@@ -805,11 +715,8 @@ Result<ReachAnswer> ReachGraphIndex::RunBidirectional(const ReachQuery& query,
     scope.Finish();
     return answer;
   };
+  if (query.source == query.destination) return SelfQueryAnswer(w);
   if (w.empty()) return finish(false);
-  if (query.source == query.destination) {
-    answer.arrival_time = w.start;
-    return finish(true);
-  }
   if (query.source >= num_objects_ || query.destination >= num_objects_) {
     return finish(false);
   }
@@ -943,11 +850,8 @@ Result<ReachAnswer> ReachGraphIndex::RunUnidirectional(const ReachQuery& query,
     scope.Finish();
     return answer;
   };
+  if (query.source == query.destination) return SelfQueryAnswer(w);
   if (w.empty()) return finish(false);
-  if (query.source == query.destination) {
-    answer.arrival_time = w.start;
-    return finish(true);
-  }
   if (query.source >= num_objects_ || query.destination >= num_objects_) {
     return finish(false);
   }

@@ -88,14 +88,9 @@ class ReachGraphIndex {
 
   /// All objects reachable from `source` during `interval` with their
   /// infection times (kInvalidTime for unreached objects), matching
-  /// `BruteForceClosure`. Implemented as a member sweep over the
-  /// partition-resident vertices and the on-disk Ht timelines: a
-  /// time-ordered Dijkstra pops the earliest-entered component, infects
-  /// its members, and follows each newly infected member's timeline into
-  /// the components it carries the item to — exactly the semantics DN_1
-  /// edges encode, without needing a destination to steer toward. This
-  /// is what lets the engine's result cache memoize ReachGraph point
-  /// queries instead of falling back.
+  /// `BruteForceClosure`: a one-source `ReachableSets`. This is what lets
+  /// the engine's result cache memoize ReachGraph point queries instead
+  /// of falling back.
   Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
                                               TimeInterval interval);
   Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
@@ -104,12 +99,17 @@ class ReachGraphIndex {
                                               QueryStats* stats) const;
 
   /// Multi-source batch closure: `result[i]` equals
-  /// `ReachableSet(sources[i], interval)` exactly. Sources run through the
-  /// member sweep in lanes of 64 — one masked Dijkstra per lane group with
-  /// per-vertex/per-object reach bitmasks — and every object timeline and
-  /// partition blob is read once for the whole batch instead of once per
-  /// source, which is where the batched-IO savings come from. A singleton
-  /// batch is the historical single-source sweep, page for page.
+  /// `ReachableSet(sources[i], interval)` exactly. Implemented as a member
+  /// sweep over the partition-resident vertices and the on-disk Ht
+  /// timelines: a time-ordered Dijkstra pops the earliest-entered
+  /// component, infects its members, and follows each newly infected
+  /// member's timeline into the components it carries the item to —
+  /// exactly the semantics DN_1 edges encode, without needing a
+  /// destination to steer toward. Sources run in lanes of 64 — one masked
+  /// Dijkstra per lane group with per-vertex/per-object reach bitmasks —
+  /// and every object timeline and partition blob is read once for the
+  /// whole batch instead of once per source, which is where the
+  /// batched-IO savings come from.
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
       const std::vector<ObjectId>& sources, TimeInterval interval);
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(

@@ -41,6 +41,17 @@ CellId DecodeLocatorEntry(const char raw[4]) {
 }
 /// @}
 
+/// Key of `p`'s cell in the transient dT-sided grid a contact round
+/// hashes its seeds into, so each candidate is tested only against the
+/// seeds of its own and the eight neighboring cells.
+int64_t SeedCellKey(const Point& p, double dt) {
+  const auto cx = static_cast<int64_t>(std::floor(p.x / dt));
+  const auto cy = static_cast<int64_t>(std::floor(p.y / dt));
+  // Shift in the unsigned domain: left-shifting a negative cx is UB.
+  return static_cast<int64_t>((static_cast<uint64_t>(cx) << 32) ^
+                              (static_cast<uint64_t>(cy) & 0xFFFFFFFFu));
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ReachGridIndex>> ReachGridIndex::Build(
@@ -299,46 +310,62 @@ Result<std::vector<CellId>> ReachGridIndex::LookupCells(
   return cells;
 }
 
-std::vector<Extent> ReachGridIndex::UnfetchedCellExtents(
-    int bucket, const std::vector<CellId>& cells, BucketContext* ctx) const {
-  const auto& directory = bucket_cells_[static_cast<size_t>(bucket)];
+Status ReachGridIndex::FetchCells(std::vector<CellId> cells,
+                                  BucketContext* ctx) const {
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  const auto& directory = bucket_cells_[static_cast<size_t>(ctx->bucket)];
   std::vector<Extent> extents;
   for (CellId cell : cells) {
     if (!ctx->fetched_cells.try_emplace(cell, true).second) continue;
     auto it = directory.find(cell);
     if (it != directory.end()) extents.push_back(it->second);  // Non-empty.
   }
-  return extents;
-}
-
-Status ReachGridIndex::FetchCells(int bucket, const std::vector<CellId>& cells,
-                                  BucketContext* ctx, BufferPool* pool) const {
-  // Every cell this step still needs goes out as one batch — the
-  // bucket-expansion demand the per-shard queues overlap. Cells stay in
-  // ascending-id order (the §4.1 on-disk order), so within each shard
-  // most of the batch services sequentially.
-  auto blobs = ReadExtentsBatched(
-      pool, UnfetchedCellExtents(bucket, cells, ctx), options_.page_size);
-  if (!blobs.ok()) return blobs.status();
-  for (const std::string& blob : *blobs) {
-    STREACH_RETURN_NOT_OK(ParseCellBlob(blob, ctx));
+  // Each worker reads its chunk of the batch through the pool (thread-safe
+  // whenever a frontier is attached) and decodes it — the CPU cost that
+  // dominates compressed sweeps. Objects merge on the caller afterwards;
+  // an object stored in several cells carries identical positions in
+  // each (every cell holds its whole bucket segment), so keep-first
+  // merging is order-insensitive.
+  const int workers =
+      ctx->frontier != nullptr ? ctx->frontier->num_threads() : 1;
+  std::vector<std::unordered_map<ObjectId, BucketPositions>> parsed(
+      static_cast<size_t>(workers));
+  std::vector<Status> worker_status(static_cast<size_t>(workers));
+  auto process_chunk = [&](int worker, size_t begin, size_t end) {
+    auto& status = worker_status[static_cast<size_t>(worker)];
+    if (!status.ok()) return;
+    std::vector<Extent> chunk(extents.begin() + static_cast<ptrdiff_t>(begin),
+                              extents.begin() + static_cast<ptrdiff_t>(end));
+    auto blobs = ReadExtentsBatched(ctx->pool, chunk, options_.page_size);
+    if (!blobs.ok()) {
+      status = blobs.status();
+      return;
+    }
+    for (const std::string& blob : *blobs) {
+      status = DecodeCellRecord(blob, *ctx,
+                                &parsed[static_cast<size_t>(worker)]);
+      if (!status.ok()) return;
+    }
+  };
+  // Below the threshold the worker wakeup costs more than the fetch; a
+  // small step stays on the caller (identical result either way).
+  if (workers > 1 && extents.size() >= kParallelFetchMinExtents) {
+    ctx->frontier->ParallelFor(extents.size(), process_chunk);
+  } else if (!extents.empty()) {
+    process_chunk(0, 0, extents.size());
   }
+  for (const Status& status : worker_status) {
+    STREACH_RETURN_NOT_OK(status);
+  }
+  for (auto& worker_out : parsed) ctx->objects.merge(worker_out);
+  ctx->scope->AddItemsVisited(cells.size());
   return Status::OK();
 }
 
-Status ReachGridIndex::ParseCellBlob(const std::string& blob,
-                                     BucketContext* ctx) const {
-  std::vector<std::pair<ObjectId, BucketPositions>> parsed;
-  STREACH_RETURN_NOT_OK(ParseCellBlobInto(blob, *ctx, &parsed));
-  for (auto& [object, positions] : parsed) {
-    ctx->objects.emplace(object, std::move(positions));
-  }
-  return Status::OK();
-}
-
-Status ReachGridIndex::ParseCellBlobInto(
+Status ReachGridIndex::DecodeCellRecord(
     const std::string& blob, const BucketContext& ctx,
-    std::vector<std::pair<ObjectId, BucketPositions>>* out) const {
+    std::unordered_map<ObjectId, BucketPositions>* out) const {
   Decoder dec(blob);
   auto count = dec.GetVarint();
   if (!count.ok()) return count.status();
@@ -346,7 +373,8 @@ Status ReachGridIndex::ParseCellBlobInto(
   for (uint64_t i = 0; i < *count; ++i) {
     auto object = dec.GetU32();
     if (!object.ok()) return object.status();
-    const bool known = ctx.objects.count(*object) != 0;
+    const bool known =
+        ctx.objects.count(*object) != 0 || out->count(*object) != 0;
     BucketPositions positions;
     if (!known) positions.reserve(ticks);
     for (size_t j = 0; j < ticks; ++j) {
@@ -355,65 +383,34 @@ Status ReachGridIndex::ParseCellBlobInto(
       if (!x.ok() || !y.ok()) return Status::Corruption("cell positions");
       if (!known) positions.emplace_back(*x, *y);
     }
-    if (!known) out->emplace_back(*object, std::move(positions));
+    if (!known) out->emplace(*object, std::move(positions));
   }
   return Status::OK();
 }
 
-Status ReachGridIndex::FetchCellsParallel(int bucket,
-                                          const std::vector<CellId>& cells,
-                                          BucketContext* ctx, BufferPool* pool,
-                                          FrontierPool* frontier) const {
-  if (frontier == nullptr || frontier->num_threads() == 1) {
-    return FetchCells(bucket, cells, ctx, pool);
+Status ReachGridIndex::AdmitSeeds(const std::vector<ObjectId>& batch,
+                                  Timestamp from, BucketContext* ctx) const {
+  std::vector<ObjectId> unknown;
+  for (ObjectId s : batch) {
+    if (ctx->objects.count(s) == 0) unknown.push_back(s);
   }
-  // Same extents as FetchCells, but the batch is split across the
-  // frontier workers: each worker reads its chunk through the
-  // thread-safe pool and decodes/parses the blobs in parallel (the CPU
-  // cost that dominates compressed sweeps). Parsed objects are merged on
-  // the caller afterwards; duplicates across cells carry identical
-  // positions (each cell stores the object's whole bucket segment), so
-  // keep-first merging is order-insensitive.
-  const std::vector<Extent> extents = UnfetchedCellExtents(bucket, cells, ctx);
-  if (extents.empty()) return Status::OK();
-  const int workers = frontier->num_threads();
-  std::vector<std::vector<std::pair<ObjectId, BucketPositions>>> parsed(
-      static_cast<size_t>(workers));
-  std::vector<Status> worker_status(static_cast<size_t>(workers));
-  auto process_chunk = [&](int worker, size_t begin, size_t end) {
-    auto& status = worker_status[static_cast<size_t>(worker)];
-    if (!status.ok()) return;
-    std::vector<Extent> chunk(extents.begin() + static_cast<ptrdiff_t>(begin),
-                              extents.begin() + static_cast<ptrdiff_t>(end));
-    auto blobs = ReadExtentsBatched(pool, chunk, options_.page_size);
-    if (!blobs.ok()) {
-      status = blobs.status();
-      return;
+  auto located = LookupCells(ctx->bucket, unknown, ctx->pool);
+  if (!located.ok()) return located.status();
+  STREACH_RETURN_NOT_OK(FetchCells(std::move(*located), ctx));
+  std::vector<CellId> wanted;
+  for (ObjectId s : batch) {
+    if (ctx->objects.count(s) == 0) {
+      return Status::Corruption("seed missing from its located cell");
     }
-    for (const std::string& blob : *blobs) {
-      status = ParseCellBlobInto(blob, *ctx,
-                                 &parsed[static_cast<size_t>(worker)]);
-      if (!status.ok()) return;
+    Rect mbr;
+    for (Timestamp t = from; t <= ctx->window.end; ++t) {
+      mbr.ExpandToInclude(ctx->PositionOf(s, t));
     }
-  };
-  // Below the threshold the worker wakeup costs more than the fetch; a
-  // small step stays on the caller (identical result either way).
-  if (extents.size() < kParallelFetchMinExtents) {
-    process_chunk(0, 0, extents.size());
-  } else {
-    frontier->ParallelFor(extents.size(), process_chunk);
+    const auto candidates =
+        grid_.CellsIntersecting(mbr.Padded(options_.contact_range));
+    wanted.insert(wanted.end(), candidates.begin(), candidates.end());
   }
-  for (const Status& status : worker_status) {
-    STREACH_RETURN_NOT_OK(status);
-  }
-  for (auto& worker_out : parsed) {
-    for (auto& [object, positions] : worker_out) {
-      if (ctx->objects.count(object) == 0) {
-        ctx->objects.emplace(object, std::move(positions));
-      }
-    }
-  }
-  return Status::OK();
+  return FetchCells(std::move(wanted), ctx);
 }
 
 void ReachGridIndex::ClearCache() { pool_.Clear(); }
@@ -425,8 +422,14 @@ Result<ReachAnswer> ReachGridIndex::Query(const ReachQuery& query) {
 Result<ReachAnswer> ReachGridIndex::Query(const ReachQuery& query,
                                           BufferPool* pool,
                                           QueryStats* stats) const {
-  return Sweep(query.source, query.destination, query.interval, nullptr, pool,
-               stats);
+  if (query.source == query.destination) {
+    QueryScope scope(pool, stats);  // Records a query that read nothing.
+    return SelfQueryAnswer(query.interval.Intersect(span_));
+  }
+  auto sets = MultiSweep({query.source}, query.interval, query.destination,
+                         pool, stats, /*frontier=*/nullptr);
+  if (!sets.ok()) return sets.status();
+  return AnswerFromSet((*sets)[0], query.destination);
 }
 
 Result<std::vector<Timestamp>> ReachGridIndex::ReachableSet(
@@ -437,11 +440,10 @@ Result<std::vector<Timestamp>> ReachGridIndex::ReachableSet(
 Result<std::vector<Timestamp>> ReachGridIndex::ReachableSet(
     ObjectId source, TimeInterval interval, BufferPool* pool,
     QueryStats* stats) const {
-  std::vector<Timestamp> infection_times(num_objects_, kInvalidTime);
-  auto answer =
-      Sweep(source, kInvalidObject, interval, &infection_times, pool, stats);
-  if (!answer.ok()) return answer.status();
-  return infection_times;
+  auto sets = MultiSweep({source}, interval, kInvalidObject, pool, stats,
+                         /*frontier=*/nullptr);
+  if (!sets.ok()) return sets.status();
+  return std::move((*sets)[0]);
 }
 
 void ReachGridIndex::SetTraversalThreads(int threads) {
@@ -461,22 +463,13 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::ReachableSets(
 Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::ReachableSets(
     const std::vector<ObjectId>& sources, TimeInterval interval,
     BufferPool* pool, QueryStats* stats, FrontierPool* frontier) const {
-  if (sources.size() == 1 &&
-      (frontier == nullptr || frontier->num_threads() == 1)) {
-    // Hard compatibility contract: a singleton batch on one thread IS the
-    // historical single-source sweep — same answers, same page sequence.
-    auto set = ReachableSet(sources[0], interval, pool, stats);
-    if (!set.ok()) return set.status();
-    std::vector<std::vector<Timestamp>> sets;
-    sets.push_back(std::move(*set));
-    return sets;
-  }
-  return MultiSweep(sources, interval, pool, stats, frontier);
+  return MultiSweep(sources, interval, kInvalidObject, pool, stats, frontier);
 }
 
 Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
     const std::vector<ObjectId>& sources, TimeInterval interval,
-    BufferPool* pool, QueryStats* stats, FrontierPool* frontier) const {
+    ObjectId destination, BufferPool* pool, QueryStats* stats,
+    FrontierPool* frontier) const {
   const int workers = frontier != nullptr ? frontier->num_threads() : 1;
   if (workers > 1) pool->set_thread_safe(true);
   QueryScope scope(pool, stats);
@@ -525,60 +518,19 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
   const int first_bucket = BucketOf(w.start);
   const int last_bucket = BucketOf(w.end);
   for (int bucket = first_bucket; bucket <= last_bucket; ++bucket) {
-    BucketContext ctx;
-    ctx.bucket = bucket;
-    ctx.interval = BucketInterval(bucket);
-    const TimeInterval bw = ctx.interval.Intersect(w);
-
-    auto position_of = [&](ObjectId o, Timestamp t) -> const Point& {
-      return ctx.objects.find(o)->second[static_cast<size_t>(
-          t - ctx.interval.start)];
-    };
-
-    auto fetch_sorted = [&](std::vector<CellId> cells) -> Status {
-      std::sort(cells.begin(), cells.end());
-      cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-      STREACH_RETURN_NOT_OK(
-          FetchCellsParallel(bucket, cells, &ctx, pool, frontier));
-      scope.AddItemsVisited(cells.size());
-      return Status::OK();
-    };
-
-    // Identical to the single-source admit step, batched over every seed
-    // of every source: locator IO once per unknown object — not once per
-    // (source, object) — is where the batch dedup comes from.
-    auto admit_seeds = [&](const std::vector<ObjectId>& batch,
-                           Timestamp from) -> Status {
-      std::vector<ObjectId> unknown;
-      for (ObjectId s : batch) {
-        if (ctx.objects.count(s) == 0) unknown.push_back(s);
-      }
-      auto located = LookupCells(bucket, unknown, pool);
-      if (!located.ok()) return located.status();
-      STREACH_RETURN_NOT_OK(fetch_sorted(std::move(*located)));
-      std::vector<CellId> wanted;
-      for (ObjectId s : batch) {
-        if (ctx.objects.count(s) == 0) {
-          return Status::Corruption("seed missing from its located cell");
-        }
-        Rect mbr;
-        for (Timestamp t = from; t <= bw.end; ++t) {
-          mbr.ExpandToInclude(position_of(s, t));
-        }
-        const auto candidates = grid_.CellsIntersecting(mbr.Padded(dt));
-        wanted.insert(wanted.end(), candidates.begin(), candidates.end());
-      }
-      return fetch_sorted(std::move(wanted));
-    };
-
+    BucketContext ctx(bucket, BucketInterval(bucket), w, pool, frontier,
+                      &scope);
+    const TimeInterval bw = ctx.window;
     {
       // Every object any source has reached so far enters the bucket as a
-      // seed, ascending ids (deterministic locator/fetch order).
+      // seed, ascending ids (deterministic locator/fetch order). Locator
+      // IO is paid once per unknown object — not once per (source,
+      // object) — which is where the batch dedup comes from.
       std::vector<ObjectId> batch;
       for (size_t o = 0; o < num_objects_; ++o) {
         if (bits.any(o)) batch.push_back(static_cast<ObjectId>(o));
       }
-      STREACH_RETURN_NOT_OK(admit_seeds(batch, bw.start));
+      STREACH_RETURN_NOT_OK(AdmitSeeds(batch, bw.start, &ctx));
     }
 
     // Sorted snapshot of the fetched objects, rebuilt when admissions grow
@@ -594,15 +546,11 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
       std::sort(object_list.begin(), object_list.end());
     };
 
-    auto seed_cell_key = [&](const Point& p) {
-      const auto cx = static_cast<int64_t>(std::floor(p.x / dt));
-      const auto cy = static_cast<int64_t>(std::floor(p.y / dt));
-      // Shift in the unsigned domain: left-shifting a negative cx is UB.
-      return static_cast<int64_t>((static_cast<uint64_t>(cx) << 32) ^
-                                  (static_cast<uint64_t>(cy) & 0xFFFFFFFFu));
-    };
-    // A seed's hash entry carries its reach-bits row: a contact transfers
-    // exactly the sources that have reached the seed by this round.
+    // Time sweep with within-tick chaining: a new seed can immediately
+    // infect further objects at the same tick (instantaneous transfer
+    // across a snapshot component, Property 5.1). A seed's hash entry
+    // carries its reach-bits row: a contact transfers exactly the sources
+    // that have reached the seed by this round.
     struct SeedRef {
       Point pos;
       const uint64_t* row;
@@ -620,7 +568,7 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
           if (!bits.any(o)) continue;
           const Point& ps =
               (*positions)[static_cast<size_t>(t - ctx.interval.start)];
-          seed_hash[seed_cell_key(ps)].push_back(SeedRef{ps, bits.row(o)});
+          seed_hash[SeedCellKey(ps, dt)].push_back(SeedRef{ps, bits.row(o)});
         }
         // Parallel candidate scan: each object gathers the bits of every
         // seed within dT; the claim bitmap hands the discovery to exactly
@@ -638,8 +586,8 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
                 bool near_seed = false;
                 for (int dx = -1; dx <= 1; ++dx) {
                   for (int dy = -1; dy <= 1; ++dy) {
-                    auto it = seed_hash.find(seed_cell_key(
-                        Point(po.x + dx * dt, po.y + dy * dt)));
+                    auto it = seed_hash.find(SeedCellKey(
+                        Point(po.x + dx * dt, po.y + dy * dt), dt));
                     if (it == seed_hash.end()) continue;
                     for (const SeedRef& seed : it->second) {
                       if (Point::DistanceSquared(po, seed.pos) < dt_sq) {
@@ -667,9 +615,8 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
               }
             });
         // Sorted merge on the caller: identical round outcomes at every
-        // worker count, and within-tick chaining exactly as the
-        // single-source sweep (new bits spread in the next round of the
-        // same tick).
+        // worker count; new bits spread in the next round of the same
+        // tick.
         std::vector<ObjectId> found = queues.Drain();
         if (found.empty()) continue;
         std::sort(found.begin(), found.end());
@@ -683,8 +630,14 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
           if (first_reach) admissions.push_back(o);
         }
         discovered.Reset();
+        // Algorithm 1's early exit: the round that reaches the destination
+        // ends the sweep before its discoveries are admitted.
+        if (std::binary_search(found.begin(), found.end(), destination)) {
+          scope.Finish();
+          return sets;
+        }
         if (!admissions.empty()) {
-          STREACH_RETURN_NOT_OK(admit_seeds(admissions, t));
+          STREACH_RETURN_NOT_OK(AdmitSeeds(admissions, t, &ctx));
         }
         changed = true;
       }
@@ -692,156 +645,6 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
   }
   scope.Finish();
   return sets;
-}
-
-Result<ReachAnswer> ReachGridIndex::Sweep(
-    ObjectId source, ObjectId destination, TimeInterval interval,
-    std::vector<Timestamp>* infection_times, BufferPool* pool,
-    QueryStats* stats) const {
-  QueryScope scope(pool, stats);
-  ReachAnswer answer;
-
-  const TimeInterval w = interval.Intersect(span_);
-  auto finish = [&](bool reachable, Timestamp arrival) {
-    answer.reachable = reachable;
-    answer.arrival_time = arrival;
-    scope.Finish();
-    return answer;
-  };
-  if (w.empty()) return finish(false, kInvalidTime);
-  if (source == destination) return finish(true, w.start);
-  if (source >= num_objects_) return finish(false, kInvalidTime);
-  if (infection_times != nullptr) (*infection_times)[source] = w.start;
-
-  const double dt = options_.contact_range;
-  const double dt_sq = dt * dt;
-
-  // Seed set: object -> infection tick.
-  std::unordered_map<ObjectId, Timestamp> seeds;
-  seeds.emplace(source, w.start);
-
-  const int first_bucket = BucketOf(w.start);
-  const int last_bucket = BucketOf(w.end);
-  for (int bucket = first_bucket; bucket <= last_bucket; ++bucket) {
-    BucketContext ctx;
-    ctx.bucket = bucket;
-    ctx.interval = BucketInterval(bucket);
-    const TimeInterval bw = ctx.interval.Intersect(w);
-
-    // Position lookup within this bucket.
-    auto position_of = [&](ObjectId o, Timestamp t) -> const Point& {
-      return ctx.objects.find(o)->second[static_cast<size_t>(
-          t - ctx.interval.start)];
-    };
-
-    // Fetches a batch of cells in ascending id order: cells of one bucket
-    // are placed on disk in that order (§4.1), so a sorted fetch turns
-    // most of the batch into sequential page reads — and goes out as one
-    // submission batch per expansion step.
-    auto fetch_sorted = [&](std::vector<CellId> cells) -> Status {
-      std::sort(cells.begin(), cells.end());
-      cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-      STREACH_RETURN_NOT_OK(FetchCells(bucket, cells, &ctx, pool));
-      scope.AddItemsVisited(cells.size());
-      return Status::OK();
-    };
-
-    // Brings seeds into the bucket: locate their cells (locator IO, one
-    // batch for the whole seed set), fetch the records, then fetch the
-    // candidate cells around their remaining segments (the potential-seed
-    // cells Ni of §4.2).
-    auto admit_seeds = [&](const std::vector<ObjectId>& batch,
-                           Timestamp from) -> Status {
-      std::vector<ObjectId> unknown;
-      for (ObjectId s : batch) {
-        if (ctx.objects.count(s) == 0) unknown.push_back(s);
-      }
-      auto located = LookupCells(bucket, unknown, pool);
-      if (!located.ok()) return located.status();
-      STREACH_RETURN_NOT_OK(fetch_sorted(std::move(*located)));
-      std::vector<CellId> wanted;
-      for (ObjectId s : batch) {
-        if (ctx.objects.count(s) == 0) {
-          return Status::Corruption("seed missing from its located cell");
-        }
-        Rect mbr;
-        for (Timestamp t = from; t <= bw.end; ++t) {
-          mbr.ExpandToInclude(position_of(s, t));
-        }
-        const auto candidates = grid_.CellsIntersecting(mbr.Padded(dt));
-        wanted.insert(wanted.end(), candidates.begin(), candidates.end());
-      }
-      return fetch_sorted(std::move(wanted));
-    };
-
-    {
-      std::vector<ObjectId> batch;
-      batch.reserve(seeds.size());
-      for (const auto& [s, arrival] : seeds) {
-        (void)arrival;
-        batch.push_back(s);
-      }
-      std::sort(batch.begin(), batch.end());  // Locator pages in order.
-      STREACH_RETURN_NOT_OK(admit_seeds(batch, bw.start));
-    }
-
-    // Time sweep with within-tick chaining: a new seed can immediately
-    // infect further objects at the same tick (instantaneous transfer
-    // across a snapshot component, Property 5.1). Seeds are hashed into a
-    // transient dT-sided grid per round so each candidate is tested only
-    // against nearby seeds.
-    auto seed_cell_key = [&](const Point& p) {
-      const auto cx = static_cast<int64_t>(std::floor(p.x / dt));
-      const auto cy = static_cast<int64_t>(std::floor(p.y / dt));
-      // Shift in the unsigned domain: left-shifting a negative cx is UB.
-      return static_cast<int64_t>((static_cast<uint64_t>(cx) << 32) ^
-                                  (static_cast<uint64_t>(cy) & 0xFFFFFFFFu));
-    };
-    std::unordered_map<int64_t, std::vector<Point>> seed_hash;
-    std::vector<ObjectId> new_seeds;
-    for (Timestamp t = bw.start; t <= bw.end; ++t) {
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        seed_hash.clear();
-        for (const auto& [s, arrival] : seeds) {
-          if (arrival > t || ctx.objects.count(s) == 0) continue;
-          const Point& ps = position_of(s, t);
-          seed_hash[seed_cell_key(ps)].push_back(ps);
-        }
-        new_seeds.clear();
-        for (auto& [o, positions] : ctx.objects) {
-          if (seeds.count(o) != 0) continue;
-          const Point& po =
-              positions[static_cast<size_t>(t - ctx.interval.start)];
-          bool infected = false;
-          for (int dx = -1; dx <= 1 && !infected; ++dx) {
-            for (int dy = -1; dy <= 1 && !infected; ++dy) {
-              auto it = seed_hash.find(
-                  seed_cell_key(Point(po.x + dx * dt, po.y + dy * dt)));
-              if (it == seed_hash.end()) continue;
-              for (const Point& ps : it->second) {
-                if (Point::DistanceSquared(po, ps) < dt_sq) {
-                  infected = true;
-                  break;
-                }
-              }
-            }
-          }
-          if (infected) new_seeds.push_back(o);
-        }
-        if (new_seeds.empty()) continue;
-        for (ObjectId o : new_seeds) {
-          seeds.emplace(o, t);
-          if (infection_times != nullptr) (*infection_times)[o] = t;
-          if (o == destination) return finish(true, t);
-        }
-        STREACH_RETURN_NOT_OK(admit_seeds(new_seeds, t));
-        changed = true;
-      }
-    }
-  }
-  return finish(false, kInvalidTime);
 }
 
 Result<std::vector<ReachProfileEntry>> ReachGridIndex::ConstrainedProfile(
@@ -885,60 +688,13 @@ Status ReachGridIndex::LevelSweep(const std::vector<Timestamp>& prev,
 
   const double dt = options_.contact_range;
   const double dt_sq = dt * dt;
-  auto seed_cell_key = [&](const Point& p) {
-    const auto cx = static_cast<int64_t>(std::floor(p.x / dt));
-    const auto cy = static_cast<int64_t>(std::floor(p.y / dt));
-    // Shift in the unsigned domain: left-shifting a negative cx is UB.
-    return static_cast<int64_t>((static_cast<uint64_t>(cx) << 32) ^
-                                (static_cast<uint64_t>(cy) & 0xFFFFFFFFu));
-  };
 
   const int first_bucket = BucketOf(w.start);
   const int last_bucket = BucketOf(w.end);
   for (int bucket = first_bucket; bucket <= last_bucket; ++bucket) {
-    BucketContext ctx;
-    ctx.bucket = bucket;
-    ctx.interval = BucketInterval(bucket);
-    const TimeInterval bw = ctx.interval.Intersect(w);
-
-    auto position_of = [&](ObjectId o, Timestamp t) -> const Point& {
-      return ctx.objects.find(o)->second[static_cast<size_t>(
-          t - ctx.interval.start)];
-    };
-
-    auto fetch_sorted = [&](std::vector<CellId> cells) -> Status {
-      std::sort(cells.begin(), cells.end());
-      cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-      STREACH_RETURN_NOT_OK(FetchCells(bucket, cells, &ctx, pool));
-      scope->AddItemsVisited(cells.size());
-      return Status::OK();
-    };
-
-    // Identical to Sweep's admit step: locate, fetch, then fetch the
-    // candidate cells around the admitted objects' remaining segments.
-    auto admit_seeds = [&](const std::vector<ObjectId>& batch,
-                           Timestamp from) -> Status {
-      std::vector<ObjectId> unknown;
-      for (ObjectId s : batch) {
-        if (ctx.objects.count(s) == 0) unknown.push_back(s);
-      }
-      auto located = LookupCells(bucket, unknown, pool);
-      if (!located.ok()) return located.status();
-      STREACH_RETURN_NOT_OK(fetch_sorted(std::move(*located)));
-      std::vector<CellId> wanted;
-      for (ObjectId s : batch) {
-        if (ctx.objects.count(s) == 0) {
-          return Status::Corruption("seed missing from its located cell");
-        }
-        Rect mbr;
-        for (Timestamp t = from; t <= bw.end; ++t) {
-          mbr.ExpandToInclude(position_of(s, t));
-        }
-        const auto candidates = grid_.CellsIntersecting(mbr.Padded(dt));
-        wanted.insert(wanted.end(), candidates.begin(), candidates.end());
-      }
-      return fetch_sorted(std::move(wanted));
-    };
+    BucketContext ctx(bucket, BucketInterval(bucket), w, pool,
+                      /*frontier=*/nullptr, scope);
+    const TimeInterval bw = ctx.window;
 
     // Carriers whose transmission window touches this bucket enter like
     // Algorithm 1 seeds.
@@ -953,7 +709,7 @@ Status ReachGridIndex::LevelSweep(const std::vector<Timestamp>& prev,
       active.push_back(m);
     }
     if (active.empty()) continue;
-    STREACH_RETURN_NOT_OK(admit_seeds(active, bw.start));
+    STREACH_RETURN_NOT_OK(AdmitSeeds(active, bw.start, &ctx));
 
     // Objects whose candidate cells are already fetched from their join
     // tick onward (re-joining a later wave needs no further admission).
@@ -971,9 +727,9 @@ Status ReachGridIndex::LevelSweep(const std::vector<Timestamp>& prev,
       wave.clear();
       wave_hash.clear();
       auto enlist = [&](ObjectId o) {
-        const Point& p = position_of(o, t);
+        const Point& p = ctx.PositionOf(o, t);
         (*wave_stamp)[o] = tick_stamp;
-        wave_hash[seed_cell_key(p)].push_back(WaveRef{wave.size(), p});
+        wave_hash[SeedCellKey(p, dt)].push_back(WaveRef{wave.size(), p});
         wave.push_back(o);
       };
       // The wave starts from the carriers eligible to transmit at t; the
@@ -1000,7 +756,7 @@ Status ReachGridIndex::LevelSweep(const std::vector<Timestamp>& prev,
           for (int dx = -1; dx <= 1 && !near; ++dx) {
             for (int dy = -1; dy <= 1 && !near; ++dy) {
               auto it = wave_hash.find(
-                  seed_cell_key(Point(po.x + dx * dt, po.y + dy * dt)));
+                  SeedCellKey(Point(po.x + dx * dt, po.y + dy * dt), dt));
               if (it == wave_hash.end()) continue;
               for (const WaveRef& ref : it->second) {
                 if (Point::DistanceSquared(po, ref.pos) < dt_sq) {
@@ -1020,7 +776,7 @@ Status ReachGridIndex::LevelSweep(const std::vector<Timestamp>& prev,
           if (admitted.insert(o).second) fresh.push_back(o);
         }
         if (!fresh.empty()) {
-          STREACH_RETURN_NOT_OK(admit_seeds(fresh, t));
+          STREACH_RETURN_NOT_OK(AdmitSeeds(fresh, t, &ctx));
         }
         changed = true;
       }
@@ -1032,11 +788,11 @@ Status ReachGridIndex::LevelSweep(const std::vector<Timestamp>& prev,
       // itself.
       UnionFind uf(wave.size());
       for (size_t i = 0; i < wave.size(); ++i) {
-        const Point& pi = position_of(wave[i], t);
+        const Point& pi = ctx.PositionOf(wave[i], t);
         for (int dx = -1; dx <= 1; ++dx) {
           for (int dy = -1; dy <= 1; ++dy) {
             auto it = wave_hash.find(
-                seed_cell_key(Point(pi.x + dx * dt, pi.y + dy * dt)));
+                SeedCellKey(Point(pi.x + dx * dt, pi.y + dy * dt), dt));
             if (it == wave_hash.end()) continue;
             for (const WaveRef& ref : it->second) {
               if (ref.idx != i && Point::DistanceSquared(pi, ref.pos) < dt_sq) {

@@ -76,8 +76,11 @@ class ReachGridIndex {
       const TrajectoryStore& store, const ReachGridOptions& options);
 
   /// Evaluates a reachability query; returns the answer with the earliest
-  /// arrival tick when reachable. Uses the index's built-in buffer pool
-  /// and records into `last_query_stats()` — single-threaded convenience.
+  /// arrival tick when reachable. A self-query answers like
+  /// `BruteForceReach` with no IO; any other query is a one-source
+  /// closure sweep that stops at the destination. Uses the index's
+  /// built-in buffer pool and records into `last_query_stats()` —
+  /// single-threaded convenience.
   Result<ReachAnswer> Query(const ReachQuery& query);
 
   /// Re-entrant query path: traverses through the caller's buffer pool
@@ -87,8 +90,8 @@ class ReachGridIndex {
                             QueryStats* stats) const;
 
   /// All objects reachable from `source` during `interval` with their
-  /// infection times (same sweep without the destination early-exit);
-  /// entry is kInvalidTime for unreached objects.
+  /// infection times (the one-source closure sweep, run to the end of the
+  /// window); entry is kInvalidTime for unreached objects.
   Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
                                               TimeInterval interval);
   Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
@@ -97,13 +100,12 @@ class ReachGridIndex {
                                               QueryStats* stats) const;
 
   /// Multi-source batch closure: `result[i]` equals
-  /// `ReachableSet(sources[i], interval)` exactly, but the whole batch is
-  /// evaluated by ONE shared-frontier sweep — per-source reach lives in a
-  /// bitset slab, every cell record is fetched once no matter how many
-  /// seeds need it, and each chaining round's contact tests fan out over
-  /// `frontier` (null or 1 thread: the identical sequential rounds). A
-  /// singleton batch with no worker pool delegates to `ReachableSet`, so
-  /// the historical page sequence is preserved bit for bit in that case.
+  /// `ReachableSet(sources[i], interval)` exactly, and the whole batch is
+  /// ONE shared-frontier sweep — per-source reach lives in a bitset slab,
+  /// every cell record is fetched once no matter how many seeds need it,
+  /// and each chaining round's contact tests fan out over `frontier`
+  /// (null or 1 thread: the identical sequential rounds). A singleton
+  /// batch on one thread is the sweep `ReachableSet` runs, page for page.
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
       const std::vector<ObjectId>& sources, TimeInterval interval);
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
@@ -126,10 +128,10 @@ class ReachGridIndex {
       ObjectId source, TimeInterval interval, const HopConstraints& hops,
       BufferPool* pool, QueryStats* stats) const;
 
-  /// Worker threads the convenience entry points use for frontier rounds
-  /// (1 = historical single-threaded sweeps; the built-in pool switches to
-  /// thread-safe mode beyond that). Re-entrant callers pass their own
-  /// `FrontierPool` instead.
+  /// Worker threads the convenience `ReachableSets` uses for frontier
+  /// rounds (1 = every round on the calling thread; the built-in pool
+  /// switches to thread-safe mode beyond that). Re-entrant callers pass
+  /// their own `FrontierPool` instead.
   void SetTraversalThreads(int threads);
 
   /// A fresh buffer pool over this index's storage topology, for one
@@ -184,45 +186,56 @@ class ReachGridIndex {
   /// Object positions for one bucket, parsed out of a cell record.
   using BucketPositions = std::vector<Point>;
 
-  /// Per-query, per-bucket state: positions of every object fetched so far.
+  /// Per-query, per-bucket sweep state shared by `MultiSweep` and
+  /// `LevelSweep`: the positions of every object fetched so far, the
+  /// cells already fetched, and the IO handles the bucket helpers read
+  /// through.
   struct BucketContext {
-    int bucket = -1;
+    BucketContext(int b, TimeInterval bucket_interval, TimeInterval w,
+                  BufferPool* p, FrontierPool* f, QueryScope* s)
+        : bucket(b),
+          interval(bucket_interval),
+          window(bucket_interval.Intersect(w)),
+          pool(p),
+          frontier(f),
+          scope(s) {}
+
+    const Point& PositionOf(ObjectId o, Timestamp t) const {
+      return objects.find(o)->second[static_cast<size_t>(t - interval.start)];
+    }
+
+    int bucket;
     TimeInterval interval;  // Full bucket interval.
+    TimeInterval window;    // `interval` clipped to the query window.
+    BufferPool* pool;
+    FrontierPool* frontier;  // Null: every fetch runs on the caller.
+    QueryScope* scope;
     std::unordered_map<ObjectId, BucketPositions> objects;
     std::unordered_map<CellId, bool> fetched_cells;
   };
 
-  /// Extents of the non-empty `cells` not yet fetched into `ctx`, in
-  /// `cells` order; marks every one of `cells` fetched.
-  std::vector<Extent> UnfetchedCellExtents(int bucket,
-                                           const std::vector<CellId>& cells,
-                                           BucketContext* ctx) const;
-
-  /// Fetches a whole batch of cells into `ctx`: the extents of every
-  /// not-yet-fetched non-empty cell are read through one
-  /// `ReadExtentsBatched` call, so the per-shard queues see the full
-  /// expansion step at any queue depth.
-  Status FetchCells(int bucket, const std::vector<CellId>& cells,
-                    BucketContext* ctx, BufferPool* pool) const;
-
-  /// Fetches cells like `FetchCells`, but splits the extent batch across
-  /// `frontier`'s workers: each worker reads its chunk through the
-  /// (thread-safe) pool and decodes the cell blobs in parallel, and the
-  /// parsed objects merge deterministically afterwards. Null / 1-thread
-  /// frontiers fall back to `FetchCells` exactly.
-  Status FetchCellsParallel(int bucket, const std::vector<CellId>& cells,
-                            BucketContext* ctx, BufferPool* pool,
-                            FrontierPool* frontier) const;
-
-  /// Decodes one cell record into `ctx`'s per-bucket position table.
-  Status ParseCellBlob(const std::string& blob, BucketContext* ctx) const;
+  /// Fetches `cells` (any order, repeats allowed) into `ctx`. The
+  /// not-yet-fetched non-empty ones go out in ascending id order — the
+  /// §4.1 on-disk order — as one `ReadExtentsBatched` call, so the
+  /// per-shard queues see the whole expansion step at any queue depth.
+  /// With a frontier and a large step the batch is split across its
+  /// workers, which read and decode their chunks in parallel; the parsed
+  /// objects merge deterministically afterwards.
+  Status FetchCells(std::vector<CellId> cells, BucketContext* ctx) const;
 
   /// Decodes one cell record into `out`, skipping objects already present
-  /// in `ctx` (which is only read — safe to call from parallel workers
-  /// while the merge is deferred).
-  Status ParseCellBlobInto(
+  /// in `ctx` or `out` (`ctx` is only read — safe to call from parallel
+  /// workers while the merge is deferred).
+  Status DecodeCellRecord(
       const std::string& blob, const BucketContext& ctx,
-      std::vector<std::pair<ObjectId, BucketPositions>>* out) const;
+      std::unordered_map<ObjectId, BucketPositions>* out) const;
+
+  /// Brings `batch` into the bucket as Algorithm 1 seeds from tick
+  /// `from`: locates their cells (one locator batch), fetches those
+  /// records, then fetches the candidate cells around their remaining
+  /// segments (the potential-seed cells Ni of §4.2).
+  Status AdmitSeeds(const std::vector<ObjectId>& batch, Timestamp from,
+                    BucketContext* ctx) const;
 
   /// Locator lookups: the cell of each of `objects` at the start of
   /// `bucket` (§4.2's constant-IO external hash). The locator pages of
@@ -230,14 +243,6 @@ class ReachGridIndex {
   Result<std::vector<CellId>> LookupCells(int bucket,
                                           const std::vector<ObjectId>& objects,
                                           BufferPool* pool) const;
-
-  /// Core sweep shared by Query and ReachableSet; stops early when
-  /// `destination` (if valid) is reached. All traversal state lives on
-  /// the stack or in the caller's pool — re-entrant and const.
-  Result<ReachAnswer> Sweep(ObjectId source, ObjectId destination,
-                            TimeInterval interval,
-                            std::vector<Timestamp>* infection_times,
-                            BufferPool* pool, QueryStats* stats) const;
 
   /// One E-column step of `ConstrainedProfile` (the `LevelSweepFn` handed
   /// to `DriveHopLevels`): labels `next` from the carriers in `prev` by
@@ -247,14 +252,20 @@ class ReachGridIndex {
                     std::vector<uint32_t>* wave_stamp, uint32_t* stamp_clock,
                     BufferPool* pool, QueryScope* scope) const;
 
-  /// Shared-frontier batch sweep behind `ReachableSets`: one pass over
-  /// the buckets with per-source reach bits; each tick's contact rounds
-  /// run as ParallelFor loops over the fetched objects and merge their
+  /// The one closure sweep, behind `Query`, `ReachableSet` and
+  /// `ReachableSets`: Algorithm 1 over a whole batch, one pass over the
+  /// buckets with per-source reach bits. Each tick's contact rounds run
+  /// as ParallelFor loops over the fetched objects and merge their
   /// discoveries in sorted order, so the answers are identical at every
-  /// worker count (and equal to per-source `Sweep`s).
+  /// worker count. A `destination` other than kInvalidObject stops the
+  /// sweep after the first round that reaches it, before that round's
+  /// discoveries are admitted (Algorithm 1's early exit); the sets then
+  /// hold the reach found so far. All traversal state lives on the stack
+  /// or in the caller's pool — re-entrant and const.
   Result<std::vector<std::vector<Timestamp>>> MultiSweep(
       const std::vector<ObjectId>& sources, TimeInterval interval,
-      BufferPool* pool, QueryStats* stats, FrontierPool* frontier) const;
+      ObjectId destination, BufferPool* pool, QueryStats* stats,
+      FrontierPool* frontier) const;
 
   ReachGridOptions options_;
   StorageTopology topology_;

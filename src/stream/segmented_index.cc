@@ -111,23 +111,14 @@ class SegmentedIndex final : public ReachabilityIndex {
     // Mirrors the brute-force oracle case for case: a self-query is
     // reachable iff the clamped window is non-empty, with no object
     // range check; otherwise the answer is the closure's entry.
-    ReachAnswer answer;
     if (query.source == query.destination) {
-      const TimeInterval w = query.interval.Intersect(ingestor_->span());
       stats_ = QueryStats{};
-      answer.reachable = !w.empty();
-      answer.arrival_time = w.empty() ? kInvalidTime : w.start;
-      return answer;
+      return SelfQueryAnswer(query.interval.Intersect(ingestor_->span()));
     }
     std::vector<Timestamp> infected;
     STREACH_ASSIGN_OR_RETURN(infected,
                              ReachableSet(query.source, query.interval));
-    if (query.destination < infected.size()) {
-      const Timestamp t = infected[query.destination];
-      answer.reachable = t != kInvalidTime;
-      answer.arrival_time = t;
-    }
-    return answer;
+    return AnswerFromSet(infected, query.destination);
   }
 
   Result<std::vector<Timestamp>> ReachableSet(ObjectId source,

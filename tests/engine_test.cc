@@ -116,6 +116,77 @@ class EngineTest : public ::testing::Test {
     return backends;
   }
 
+  /// AllBackends() plus the streaming tier over the same contacts, all
+  /// sealed: every backend the engine serves.
+  static std::vector<std::unique_ptr<ReachabilityIndex>> ServedBackends() {
+    StreamingOptions streaming;
+    streaming.num_objects = stack_->store.num_objects();
+    streaming.span = stack_->store.span();
+    auto ingestor = StreamingIngestor::Create(streaming);
+    EXPECT_TRUE(ingestor.ok());
+    ExtractContactsTo(stack_->store, kContactRange, stack_->store.span(),
+                      JoinOptions{}, ingestor->get());
+    EXPECT_TRUE((*ingestor)->SealRemaining().ok());
+    auto backends = AllBackends();
+    backends.push_back(MakeStreamingBackend(*ingestor));
+    return backends;
+  }
+
+  /// Runs `queries` on `backend` through `Run` with the result cache off
+  /// and on, and through `RunFamilies` as boolean specs, and checks every
+  /// answer against BruteForceReach. Arrival times are compared wherever
+  /// the backend reports one: ReachGraph's and GRAIL's point traversals
+  /// answer a reachable query between two objects without one. Every
+  /// self-query's arrival is compared.
+  static void ExpectOracleAnswers(ReachabilityIndex* backend,
+                                  const std::vector<ReachQuery>& queries) {
+    const std::string name = backend->DescribeIndex();
+    const bool untracked_arrival =
+        name.rfind("ReachGraph(", 0) == 0 || name.rfind("GRAIL(", 0) == 0;
+    std::vector<QuerySpec> specs;
+    std::vector<ReachAnswer> expected;
+    for (const ReachQuery& q : queries) {
+      QuerySpec spec;
+      spec.source = q.source;
+      spec.destination = q.destination;
+      spec.interval = q.interval;
+      specs.push_back(spec);
+      expected.push_back(BruteForceReach(*stack_->network, q.source,
+                                         q.destination, q.interval));
+    }
+    QueryEngineOptions cached;
+    cached.result_cache_capacity = 64;
+    for (const QueryEngineOptions& options : {QueryEngineOptions{}, cached}) {
+      const QueryEngine engine(options);
+      auto run = engine.Run(backend, queries);
+      auto families = engine.RunFamilies(backend, specs);
+      ASSERT_TRUE(run.ok()) << name;
+      ASSERT_TRUE(families.ok()) << name;
+      EXPECT_EQ(run->summary.failed_queries, 0u) << name;
+      EXPECT_EQ(families->summary.failed_queries, 0u) << name;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        auto check = [&](const char* path, const Status& status,
+                         const ReachAnswer& got) {
+          const std::string where =
+              name + " " + path +
+              (options.result_cache_capacity > 0 ? " (cache on)" : "") +
+              " on " + queries[i].ToString();
+          EXPECT_TRUE(status.ok()) << where << ": " << status.ToString();
+          EXPECT_EQ(got.reachable, expected[i].reachable) << where;
+          if (untracked_arrival && got.reachable &&
+              got.arrival_time == kInvalidTime &&
+              queries[i].source != queries[i].destination) {
+            return;
+          }
+          EXPECT_EQ(got.arrival_time, expected[i].arrival_time) << where;
+        };
+        check("Run", run->statuses[i], run->answers[i]);
+        check("RunFamilies", families->statuses[i],
+              families->answers[i].point);
+      }
+    }
+  }
+
   static std::vector<ReachQuery> MakeQueries(int n, uint64_t seed) {
     WorkloadParams wl;
     wl.num_queries = n;
@@ -152,9 +223,9 @@ TEST_F(EngineTest, AllBackendsAgreeWithBruteForceSequentially) {
 
 TEST_F(EngineTest, OutOfRangeObjectIdsGetTheOraclesAnswer) {
   // Ids outside the population answer like BruteForceReach on every
-  // backend: a self-query holds over any non-empty clamped window, and
-  // any other query naming an unknown object is unreachable. Never a
-  // NotFound, never a crash.
+  // backend and every engine path: a self-query holds over any non-empty
+  // clamped window, and any other query naming an unknown object is
+  // unreachable. Never a NotFound, never a crash.
   const auto n = static_cast<ObjectId>(stack_->store.num_objects());
   const TimeInterval window(20, 200);
   const TimeInterval past_span(stack_->store.span().end + 10,
@@ -169,34 +240,56 @@ TEST_F(EngineTest, OutOfRangeObjectIdsGetTheOraclesAnswer) {
       {n + 5, n + 5, past_span},         // Empty clamped window.
       {3, 3, window},                    // In-range self-query.
   };
+  for (auto& backend : ServedBackends()) {
+    ExpectOracleAnswers(backend.get(), queries);
+  }
+}
 
-  StreamingOptions streaming;
-  streaming.num_objects = stack_->store.num_objects();
-  streaming.span = stack_->store.span();
-  auto ingestor = StreamingIngestor::Create(streaming);
-  ASSERT_TRUE(ingestor.ok());
-  ExtractContactsTo(stack_->store, kContactRange, stack_->store.span(),
-                    JoinOptions{}, ingestor->get());
-  ASSERT_TRUE((*ingestor)->SealRemaining().ok());
-  auto backends = AllBackends();
-  backends.push_back(MakeStreamingBackend(*ingestor));
-
-  const QueryEngine engine(QueryEngineOptions{});
-  for (auto& backend : backends) {
-    auto report = engine.Run(backend.get(), queries);
-    ASSERT_TRUE(report.ok()) << backend->DescribeIndex();
-    EXPECT_EQ(report->summary.failed_queries, 0u) << backend->DescribeIndex();
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const ReachQuery& q = queries[i];
-      const ReachAnswer expected = BruteForceReach(
-          *stack_->network, q.source, q.destination, q.interval);
-      EXPECT_TRUE(report->statuses[i].ok())
-          << backend->DescribeIndex() << " on " << q.ToString() << ": "
-          << report->statuses[i].ToString();
-      EXPECT_EQ(report->answers[i].reachable, expected.reachable)
-          << backend->DescribeIndex() << " disagrees on " << q.ToString();
-      EXPECT_EQ(report->answers[i].arrival_time, expected.arrival_time)
-          << backend->DescribeIndex() << " disagrees on " << q.ToString();
+TEST_F(EngineTest, BoundaryWindowsGetTheOraclesAnswer) {
+  // Windows that clamp to nothing or to part of the span: every pair of a
+  // few ids (self-queries and unknown ids included) answers like
+  // BruteForceReach, and every closure — one of an unknown source — equals
+  // BruteForceClosure, on every backend and every engine path.
+  const auto n = static_cast<ObjectId>(stack_->store.num_objects());
+  const Timestamp end = stack_->store.span().end;
+  const std::vector<TimeInterval> windows{
+      {200, 20},              // Inverted.
+      {-50, -10},             // Before the span.
+      {-30, 40},              // Straddles the span's start.
+      {end - 40, end + 30},   // Straddles the span's end.
+      {150, 150},             // One tick.
+      {end, end},             // The span's last tick.
+  };
+  const std::vector<ObjectId> ids{0, 17, 42, 64, 88, 119, n, n + 5};
+  const std::vector<ObjectId> sources{3, n + 5, 42, 17, 119};
+  for (auto& backend : ServedBackends()) {
+    const std::string name = backend->DescribeIndex();
+    // GRAIL answers point queries only.
+    const bool enumerates_sets = name.rfind("GRAIL(", 0) != 0;
+    for (const TimeInterval& window : windows) {
+      std::vector<ReachQuery> queries;
+      for (ObjectId s : ids) {
+        for (ObjectId d : ids) queries.push_back({s, d, window});
+      }
+      ExpectOracleAnswers(backend.get(), queries);
+      for (int batch : {1, 4}) {
+        QueryEngineOptions options;
+        options.batch_sources = batch;
+        auto report = QueryEngine(options).RunClosures(backend.get(),
+                                                       sources, window);
+        ASSERT_TRUE(report.ok()) << name;
+        for (const Status& status : report->statuses) {
+          EXPECT_EQ(status.ok(), enumerates_sets)
+              << name << " on " << window << ": " << status.ToString();
+        }
+        if (!enumerates_sets) continue;
+        for (size_t i = 0; i < sources.size(); ++i) {
+          EXPECT_EQ(report->sets[i],
+                    BruteForceClosure(*stack_->network, sources[i], window))
+              << name << " closure of o" << sources[i] << " on " << window
+              << " (batch " << batch << ")";
+        }
+      }
     }
   }
 }

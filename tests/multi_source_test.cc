@@ -7,9 +7,9 @@
 // shards {1,4} x codec {raw,delta-varint} x traversal_threads {1,4} x
 // io_queue_depth {1,8}, plus the engine's RunClosures across
 // num_threads / batch_sources, the read-dedup guarantee (a batch reads
-// strictly fewer pages than the per-source loop), and the hard
-// compatibility contract (a singleton batch at one traversal thread
-// replays the single-source sweep page for page).
+// strictly fewer pages than the per-source loop), and the one-sweep
+// contract (ReachableSet and a singleton batch at one traversal thread
+// run the same sweep, page for page, on every disk backend).
 
 #include <gtest/gtest.h>
 
@@ -264,23 +264,31 @@ TEST_F(MultiSourceTest, BatchesWithMoreThan64SourcesSpanLaneChunks) {
 }
 
 TEST_F(MultiSourceTest, SingletonBatchReplaysSingleSourcePageSequence) {
-  // The hard compatibility contract: one source, one traversal thread
-  // -> the batch path IS the historical single-source sweep, identical
-  // answers AND identical IO profile.
-  auto backend = MakeReachGridBackend(Grid(1, PageCodecKind::kRaw));
+  // The one-sweep contract: at one traversal thread, ReachableSet and a
+  // one-source ReachableSets run the same sweep on every disk backend —
+  // identical answers AND identical IO profile.
+  auto grid = MakeReachGridBackend(Grid(1, PageCodecKind::kRaw));
+  auto graph = MakeReachGraphBackend(Graph(1, PageCodecKind::kRaw),
+                                     ReachGraphTraversal::kBmBfs);
+  auto spj = MakeSpjBackend(Spj(1, PageCodecKind::kRaw));
   const ObjectId source = Sources()[0];
-  backend->ClearCache();
-  auto single = backend->ReachableSet(source, Window());
-  ASSERT_TRUE(single.ok());
-  const QueryStats single_stats = backend->last_query_stats();
-  backend->ClearCache();
-  auto batch = backend->ReachableSets({source}, Window());
-  ASSERT_TRUE(batch.ok());
-  const QueryStats batch_stats = backend->last_query_stats();
-  EXPECT_EQ((*batch)[0], *single);
-  EXPECT_EQ(batch_stats.pages_fetched, single_stats.pages_fetched);
-  EXPECT_EQ(batch_stats.pool_hits, single_stats.pool_hits);
-  EXPECT_DOUBLE_EQ(batch_stats.io_cost, single_stats.io_cost);
+  for (ReachabilityIndex* backend : {grid.get(), graph.get(), spj.get()}) {
+    backend->ClearCache();
+    auto single = backend->ReachableSet(source, Window());
+    ASSERT_TRUE(single.ok()) << backend->DescribeIndex();
+    const QueryStats single_stats = backend->last_query_stats();
+    backend->ClearCache();
+    auto batch = backend->ReachableSets({source}, Window());
+    ASSERT_TRUE(batch.ok()) << backend->DescribeIndex();
+    const QueryStats batch_stats = backend->last_query_stats();
+    EXPECT_EQ((*batch)[0], *single) << backend->DescribeIndex();
+    EXPECT_EQ(batch_stats.pages_fetched, single_stats.pages_fetched)
+        << backend->DescribeIndex();
+    EXPECT_EQ(batch_stats.pool_hits, single_stats.pool_hits)
+        << backend->DescribeIndex();
+    EXPECT_DOUBLE_EQ(batch_stats.io_cost, single_stats.io_cost)
+        << backend->DescribeIndex();
+  }
 }
 
 TEST_F(MultiSourceTest, GrailRejectsBatchClosures) {
