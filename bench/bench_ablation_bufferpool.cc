@@ -39,15 +39,11 @@ void GraphPool(benchmark::State& state) {
   options.buffer_pool_pages = pool;
   auto index = ReachGraphIndex::Build(*env.network, options);
   STREACH_CHECK(index.ok());
+  auto session = MakeReachGraphBackend(std::move(*index),
+                                       ReachGraphTraversal::kBmBfs);
   double io = 0;
   for (auto _ : state) {
-    io = 0;
-    for (const ReachQuery& q : env.queries) {
-      (*index)->ClearCache();
-      STREACH_CHECK_OK((*index)->QueryBmBfs(q).status());
-      io += (*index)->last_query_stats().io_cost;
-    }
-    io /= static_cast<double>(env.queries.size());
+    io = RunThroughEngine(session.get(), env.queries).mean_io_cost();
   }
   state.counters["avg_io"] = io;
   Rows().push_back({"ReachGraph", pool, io});
@@ -65,15 +61,10 @@ void GridPool(benchmark::State& state) {
   options.buffer_pool_pages = pool;
   auto index = ReachGridIndex::Build(env.dataset.store, options);
   STREACH_CHECK(index.ok());
+  auto session = MakeReachGridBackend(std::move(*index));
   double io = 0;
   for (auto _ : state) {
-    io = 0;
-    for (const ReachQuery& q : env.queries) {
-      (*index)->ClearCache();
-      STREACH_CHECK_OK((*index)->Query(q).status());
-      io += (*index)->last_query_stats().io_cost;
-    }
-    io /= static_cast<double>(env.queries.size());
+    io = RunThroughEngine(session.get(), env.queries).mean_io_cost();
   }
   state.counters["avg_io"] = io;
   Rows().push_back({"ReachGrid", pool, io});

@@ -45,24 +45,20 @@ void ResolutionSweep(benchmark::State& state, const std::string& which) {
   BenchEnv& env = Env(which);
   ReachGraphOptions options;
   options.num_resolutions = resolutions;
-  auto index = ReachGraphIndex::Build(*env.network, options);
-  STREACH_CHECK(index.ok());
+  auto built = ReachGraphIndex::Build(*env.network, options);
+  STREACH_CHECK(built.ok());
+  std::shared_ptr<const ReachGraphIndex> index = std::move(*built);
+  auto session = MakeReachGraphBackend(index, ReachGraphTraversal::kBmBfs);
   double io = 0;
   for (auto _ : state) {
-    io = 0;
-    for (const ReachQuery& q : env.queries) {
-      (*index)->ClearCache();
-      STREACH_CHECK_OK((*index)->QueryBmBfs(q).status());
-      io += (*index)->last_query_stats().io_cost;
-    }
-    io /= static_cast<double>(env.queries.size());
+    io = RunThroughEngine(session.get(), env.queries).mean_io_cost();
   }
   state.counters["avg_io"] = io;
   state.counters["long_edges"] =
-      static_cast<double>((*index)->build_stats().dn.num_long_edges);
+      static_cast<double>(index->build_stats().dn.num_long_edges);
   Rows().push_back({env.dataset.name, resolutions,
-                    (*index)->build_stats().dn.num_long_edges,
-                    (*index)->build_stats().index_pages, io});
+                    index->build_stats().dn.num_long_edges,
+                    index->build_stats().index_pages, io});
 }
 
 BENCHMARK_CAPTURE(ResolutionSweep, RWP_M, std::string("RWP"))

@@ -55,21 +55,16 @@ void DepthSweep(benchmark::State& state, const std::string& which) {
   Sweep& sweep = GetSweep(which);
   ReachGraphOptions options;
   options.partition_depth = dp;
-  auto index = ReachGraphIndex::BuildFromDn(sweep.dn, options);
-  STREACH_CHECK(index.ok());
+  auto built = ReachGraphIndex::BuildFromDn(sweep.dn, options);
+  STREACH_CHECK(built.ok());
+  std::shared_ptr<const ReachGraphIndex> index = std::move(*built);
+  auto session = MakeReachGraphBackend(index, ReachGraphTraversal::kBmBfs);
   double io = 0;
   for (auto _ : state) {
-    io = 0;
-    for (const ReachQuery& q : sweep.env.queries) {
-      (*index)->ClearCache();
-      STREACH_CHECK_OK((*index)->QueryBmBfs(q).status());
-      io += (*index)->last_query_stats().io_cost;
-    }
-    io /= static_cast<double>(sweep.env.queries.size());
+    io = RunThroughEngine(session.get(), sweep.env.queries).mean_io_cost();
   }
   state.counters["avg_io"] = io;
-  state.counters["partitions"] =
-      static_cast<double>((*index)->num_partitions());
+  state.counters["partitions"] = static_cast<double>(index->num_partitions());
   Rows().push_back({sweep.env.dataset.name, dp, io});
 }
 

@@ -21,8 +21,8 @@ namespace {
 
 struct Setup {
   BenchEnv env;
-  std::unique_ptr<ReachGridIndex> grid;
-  std::unique_ptr<ReachGraphIndex> graph;
+  std::unique_ptr<ReachabilityIndex> grid;   // ReachGrid session.
+  std::unique_ptr<ReachabilityIndex> graph;  // ReachGraph(BM-BFS) session.
 };
 
 Setup& GetSetup(const std::string& which) {
@@ -38,11 +38,12 @@ Setup& GetSetup(const std::string& which) {
     grid_options.contact_range = setup->env.dataset.contact_range;
     auto grid = ReachGridIndex::Build(setup->env.dataset.store, grid_options);
     STREACH_CHECK(grid.ok());
-    setup->grid = std::move(grid).ValueUnsafe();
+    setup->grid = MakeReachGridBackend(std::move(grid).ValueUnsafe());
     auto graph =
         ReachGraphIndex::Build(*setup->env.network, ReachGraphOptions{});
     STREACH_CHECK(graph.ok());
-    setup->graph = std::move(graph).ValueUnsafe();
+    setup->graph = MakeReachGraphBackend(std::move(graph).ValueUnsafe(),
+                                         ReachGraphTraversal::kBmBfs);
     it = cache.emplace(which, std::move(setup)).first;
   }
   return *it->second;
@@ -72,17 +73,8 @@ void Compare(benchmark::State& state, const std::string& which) {
   const auto queries = GenerateWorkload(wl);
   double grid_io = 0, graph_io = 0;
   for (auto _ : state) {
-    grid_io = graph_io = 0;
-    for (const ReachQuery& q : queries) {
-      setup.grid->ClearCache();
-      STREACH_CHECK_OK(setup.grid->Query(q).status());
-      grid_io += setup.grid->last_query_stats().io_cost;
-      setup.graph->ClearCache();
-      STREACH_CHECK_OK(setup.graph->QueryBmBfs(q).status());
-      graph_io += setup.graph->last_query_stats().io_cost;
-    }
-    grid_io /= static_cast<double>(queries.size());
-    graph_io /= static_cast<double>(queries.size());
+    grid_io = RunThroughEngine(setup.grid.get(), queries).mean_io_cost();
+    graph_io = RunThroughEngine(setup.graph.get(), queries).mean_io_cost();
   }
   state.counters["grid_io"] = grid_io;
   state.counters["graph_io"] = graph_io;

@@ -41,13 +41,8 @@ double MeasureGridIo(int rt, double rs) {
   options.contact_range = env.dataset.contact_range;
   auto index = ReachGridIndex::Build(env.dataset.store, options);
   STREACH_CHECK(index.ok());
-  double io = 0;
-  for (const ReachQuery& q : env.queries) {
-    (*index)->ClearCache();
-    STREACH_CHECK_OK((*index)->Query(q).status());
-    io += (*index)->last_query_stats().io_cost;
-  }
-  return io / static_cast<double>(env.queries.size());
+  auto session = MakeReachGridBackend(std::move(*index));
+  return RunThroughEngine(session.get(), env.queries).mean_io_cost();
 }
 
 void SpatialSweep(benchmark::State& state) {

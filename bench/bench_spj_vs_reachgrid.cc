@@ -41,19 +41,13 @@ void Compare(benchmark::State& state, const std::string& which, DatasetScale sca
   auto spj = SpjEvaluator::Build(env.dataset.store, spj_options);
   STREACH_CHECK(spj.ok());
 
+  auto grid_session = MakeReachGridBackend(std::move(*grid));
+  auto spj_session = MakeSpjBackend(std::move(*spj));
+
   double grid_io = 0, spj_io = 0;
   for (auto _ : state) {
-    grid_io = spj_io = 0;
-    for (const ReachQuery& q : env.queries) {
-      (*grid)->ClearCache();
-      STREACH_CHECK_OK((*grid)->Query(q).status());
-      grid_io += (*grid)->last_query_stats().io_cost;
-      (*spj)->ClearCache();
-      STREACH_CHECK_OK((*spj)->Query(q).status());
-      spj_io += (*spj)->last_query_stats().io_cost;
-    }
-    grid_io /= static_cast<double>(env.queries.size());
-    spj_io /= static_cast<double>(env.queries.size());
+    grid_io = RunThroughEngine(grid_session.get(), env.queries).mean_io_cost();
+    spj_io = RunThroughEngine(spj_session.get(), env.queries).mean_io_cost();
   }
   state.counters["grid_io"] = grid_io;
   state.counters["spj_io"] = spj_io;

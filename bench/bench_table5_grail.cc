@@ -37,30 +37,26 @@ void Compare(benchmark::State& state, const std::string& which) {
   STREACH_CHECK(dn.ok());
   auto grail = GrailIndex::Build(*dn, GrailOptions{});
   STREACH_CHECK(grail.ok());
+  std::shared_ptr<const GrailIndex> shared_grail = std::move(*grail);
+  auto rg_session =
+      MakeReachGraphBackend(std::move(*rg), ReachGraphTraversal::kBmBfs);
+  auto grail_memory = MakeGrailBackend(shared_grail, GrailMode::kMemory);
+  auto grail_disk = MakeGrailBackend(shared_grail, GrailMode::kDisk);
 
   Row row;
   row.dataset = env.dataset.name;
   for (auto _ : state) {
-    double grail_cpu = 0, rg_cpu = 0, grail_io = 0, rg_io = 0;
-    for (const ReachQuery& q : env.queries) {
-      // Memory-resident runtimes (Table 5a): warm caches, measure CPU.
-      STREACH_CHECK_OK((*grail)->QueryMemory(q).status());
-      grail_cpu += (*grail)->last_query_stats().cpu_seconds;
-      STREACH_CHECK_OK((*rg)->QueryBmBfs(q).status());
-      rg_cpu += (*rg)->last_query_stats().cpu_seconds;
-      // Disk-resident IO (Table 5b): cold caches.
-      (*grail)->ClearCache();
-      STREACH_CHECK_OK((*grail)->QueryDisk(q).status());
-      grail_io += (*grail)->last_query_stats().io_cost;
-      (*rg)->ClearCache();
-      STREACH_CHECK_OK((*rg)->QueryBmBfs(q).status());
-      rg_io += (*rg)->last_query_stats().io_cost;
-    }
     const auto n = static_cast<double>(env.queries.size());
-    row.grail_ms = grail_cpu * 1e3 / n;
-    row.rg_ms = rg_cpu * 1e3 / n;
-    row.grail_io = grail_io / n;
-    row.rg_io = rg_io / n;
+    // Memory-resident runtimes (Table 5a): warm caches, measure CPU.
+    row.grail_ms =
+        RunThroughEngine(grail_memory.get(), env.queries, /*cold=*/false)
+            .total_cpu_seconds * 1e3 / n;
+    row.rg_ms = RunThroughEngine(rg_session.get(), env.queries, /*cold=*/false)
+                    .total_cpu_seconds * 1e3 / n;
+    // Disk-resident IO (Table 5b): cold caches.
+    row.grail_io =
+        RunThroughEngine(grail_disk.get(), env.queries).mean_io_cost();
+    row.rg_io = RunThroughEngine(rg_session.get(), env.queries).mean_io_cost();
   }
   state.counters["grail_io"] = row.grail_io;
   state.counters["rg_io"] = row.rg_io;

@@ -31,6 +31,7 @@
 
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "engine/backends.h"
 #include "engine/query_spec.h"
 #include "generators/random_waypoint.h"
 #include "join/contact_extractor.h"
@@ -126,6 +127,7 @@ int main(int argc, char** argv) {
                   (*index)->build_stats().num_nonempty_cells),
               static_cast<double>((*index)->build_stats().index_bytes) / 1e6,
               (*index)->build_stats().build_seconds);
+  auto grid = MakeReachGridBackend(std::move(*index));
 
   // Eight index cases detected at t=0; trace everyone reachable within
   // the first half of the observation window.
@@ -142,18 +144,18 @@ int main(int argc, char** argv) {
   double seq_io = 0;
   uint64_t seq_pages = 0;
   for (size_t i = 0; i < index_cases.size(); ++i) {
-    (*index)->ClearCache();
-    auto infected = (*index)->ReachableSet(index_cases[i], window);
+    grid->ClearCache();
+    auto infected = grid->ReachableSet(index_cases[i], window);
     STREACH_CHECK(infected.ok());
-    seq_io += (*index)->last_query_stats().io_cost;
-    seq_pages += (*index)->last_query_stats().pages_fetched;
+    seq_io += grid->last_query_stats().io_cost;
+    seq_pages += grid->last_query_stats().pages_fetched;
     sequential[i] = std::move(*infected);
   }
 
   // Multi-source batch closure: groups of batch_sources seeds share one
   // frontier sweep (and, at traversal_threads > 1, its cell fetch/decode
   // is spread across frontier workers).
-  (*index)->SetTraversalThreads(traversal_threads);
+  grid->SetTraversalThreads(traversal_threads);
   double batch_io = 0;
   uint64_t batch_pages = 0;
   std::vector<std::vector<Timestamp>> batched(index_cases.size());
@@ -163,11 +165,11 @@ int main(int argc, char** argv) {
                                 index_cases.size());
     const std::vector<ObjectId> group(index_cases.begin() + begin,
                                       index_cases.begin() + end);
-    (*index)->ClearCache();
-    auto sets = (*index)->ReachableSets(group, window);
+    grid->ClearCache();
+    auto sets = grid->ReachableSets(group, window);
     STREACH_CHECK(sets.ok());
-    batch_io += (*index)->last_query_stats().io_cost;
-    batch_pages += (*index)->last_query_stats().pages_fetched;
+    batch_io += grid->last_query_stats().io_cost;
+    batch_pages += grid->last_query_stats().pages_fetched;
     for (size_t i = begin; i < end; ++i) {
       batched[i] = std::move((*sets)[i - begin]);
     }
@@ -205,7 +207,7 @@ int main(int argc, char** argv) {
     ring.max_hops = ring_hops;
     auto answer = EvaluateFamily(live.get(), ring);
     STREACH_CHECK(answer.ok());
-    auto grid_profile = (*index)->ConstrainedProfile(
+    auto grid_profile = grid->ConstrainedProfile(
         ring.source, ring.interval, HopConstraints{ring.max_hops, -1});
     STREACH_CHECK(grid_profile.ok());
     STREACH_CHECK(answer->profile == *grid_profile);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "engine/backends.h"
 #include "generators/road_network.h"
 #include "generators/vehicle_gen.h"
 #include "join/contact_extractor.h"
@@ -57,6 +58,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(build.dn.num_long_edges),
               static_cast<unsigned long long>(build.num_partitions));
 
+  auto session =
+      MakeReachGraphBackend(std::move(*index), ReachGraphTraversal::kBmBfs);
+
   const std::vector<ObjectId> watchlist = {3, 42, 77};
   const TimeInterval window(ticks / 4, (3 * ticks) / 4);
   std::printf("\nScreening all vehicles against watchlist {3, 42, 77} over "
@@ -69,13 +73,13 @@ int main(int argc, char** argv) {
   for (ObjectId other = 0; other < store->num_objects(); ++other) {
     for (ObjectId watched : watchlist) {
       if (other == watched) continue;
-      auto forward = (*index)->QueryBmBfs({watched, other, window});
+      auto forward = session->Query({watched, other, window});
       STREACH_CHECK(forward.ok());
-      io += (*index)->last_query_stats().io_cost;
+      io += session->last_query_stats().io_cost;
       if (forward->reachable) exposed_from.insert(other);
-      auto backward = (*index)->QueryBmBfs({other, watched, window});
+      auto backward = session->Query({other, watched, window});
       STREACH_CHECK(backward.ok());
-      io += (*index)->last_query_stats().io_cost;
+      io += session->last_query_stats().io_cost;
       if (backward->reachable) feeding_to.insert(other);
       queries += 2;
     }

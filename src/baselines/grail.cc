@@ -280,10 +280,6 @@ VertexId TimelineLookup(const std::vector<DnGraph::TimelineEntry>& timeline,
 
 }  // namespace
 
-Result<ReachAnswer> GrailIndex::QueryMemory(const ReachQuery& query) {
-  return QueryMemory(query, &last_stats_);
-}
-
 Result<ReachAnswer> GrailIndex::QueryMemory(const ReachQuery& query,
                                             QueryStats* stats) const {
   QueryScope scope(/*pool=*/nullptr, stats);
@@ -304,10 +300,6 @@ Result<ReachAnswer> GrailIndex::QueryMemory(const ReachQuery& query,
   const VertexId v2 = TimelineLookup(timelines_[query.destination], w.end);
   if (v1 == kInvalidVertex || v2 == kInvalidVertex) return finish(false);
   return finish(ReachableMemory(v1, v2));
-}
-
-Result<ReachAnswer> GrailIndex::QueryDisk(const ReachQuery& query) {
-  return QueryDisk(query, &pool_, &last_stats_);
 }
 
 Result<ReachAnswer> GrailIndex::QueryDisk(const ReachQuery& query,

@@ -60,29 +60,15 @@ class GrailIndex {
   /// Vertex-level reachability using in-memory labels + adjacency.
   bool ReachableMemory(VertexId from, VertexId to) const;
 
-  /// Full query, memory-resident (Table 5a).
-  Result<ReachAnswer> QueryMemory(const ReachQuery& query);
-
-  /// Full query, disk-resident with IO accounting (Table 5b).
-  Result<ReachAnswer> QueryDisk(const ReachQuery& query);
-
-  /// Re-entrant query paths: metrics go into `*stats` and (for the disk
-  /// mode) IO through the caller's pool. Safe to call concurrently from
-  /// many threads with distinct pools (see NewSessionPool).
+  /// Full query, memory-resident (Table 5a); metrics go into `*stats`.
   Result<ReachAnswer> QueryMemory(const ReachQuery& query,
                                   QueryStats* stats) const;
+
+  /// Full query, disk-resident (Table 5b): IO goes through the caller's
+  /// pool and metrics into `*stats`. Both modes are safe to call
+  /// concurrently from many threads (the disk mode with distinct pools).
   Result<ReachAnswer> QueryDisk(const ReachQuery& query, BufferPool* pool,
                                 QueryStats* stats) const;
-
-  /// A fresh buffer pool over this index's storage topology, for one
-  /// concurrent query session (sized like the built-in pool, decoding
-  /// with this index's codec).
-  std::unique_ptr<BufferPool> NewSessionPool() const {
-    auto pool =
-        std::make_unique<BufferPool>(&topology_, options_.buffer_pool_pages);
-    pool->set_page_codec(GetPageCodec(options_.build.page_codec));
-    return pool;
-  }
 
   const StorageTopology& topology() const { return topology_; }
   int num_shards() const { return topology_.num_shards(); }
@@ -90,12 +76,11 @@ class GrailIndex {
   /// On-disk record codec this index was built (and must be read) with.
   PageCodecKind page_codec() const { return options_.build.page_codec; }
 
-  const QueryStats& last_query_stats() const { return last_stats_; }
+  const GrailOptions& options() const { return options_; }
   double build_seconds() const { return build_seconds_; }
   /// Device IO each shard performed during construction (index = shard
   /// id): the write-side profile of the placement phase.
   const std::vector<IoStats>& build_io_stats() const { return build_io_; }
-  void ClearCache() { pool_.Clear(); }
 
   size_t num_vertices() const { return labels_.size(); }
 
@@ -103,10 +88,7 @@ class GrailIndex {
   explicit GrailIndex(const GrailOptions& options)
       : options_(options),
         topology_(StorageTopologyOptions{options.num_shards,
-                                         options.page_size}),
-        pool_(&topology_, options.buffer_pool_pages) {
-    pool_.set_page_codec(GetPageCodec(options.build.page_codec));
-  }
+                                         options.page_size}) {}
 
   /// One interval [min, post_rank] per labeling.
   struct Label {
@@ -165,8 +147,6 @@ class GrailIndex {
 
   GrailOptions options_;
   StorageTopology topology_;
-  BufferPool pool_;
-  QueryStats last_stats_;
   double build_seconds_ = 0.0;
   std::vector<IoStats> build_io_;  // Per-shard build-phase device IO.
 

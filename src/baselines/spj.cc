@@ -83,10 +83,6 @@ Status SpjEvaluator::WriteSlabs(const TrajectoryStore& store) {
   return writer.Flush();
 }
 
-Result<ReachAnswer> SpjEvaluator::Query(const ReachQuery& query) {
-  return Query(query, &pool_, &last_stats_);
-}
-
 Result<ReachAnswer> SpjEvaluator::Query(const ReachQuery& query,
                                         BufferPool* pool,
                                         QueryStats* stats) const {
@@ -100,33 +96,10 @@ Result<ReachAnswer> SpjEvaluator::Query(const ReachQuery& query,
   return AnswerFromSet((*sets)[0], query.destination);
 }
 
-Result<std::vector<Timestamp>> SpjEvaluator::ReachableSet(
-    ObjectId source, TimeInterval interval) {
-  return ReachableSet(source, interval, &pool_, &last_stats_);
-}
-
-Result<std::vector<Timestamp>> SpjEvaluator::ReachableSet(
-    ObjectId source, TimeInterval interval, BufferPool* pool,
-    QueryStats* stats) const {
-  auto sets = Closure({source}, interval, kInvalidObject, pool, stats);
-  if (!sets.ok()) return sets.status();
-  return std::move((*sets)[0]);
-}
-
-Result<std::vector<std::vector<Timestamp>>> SpjEvaluator::ReachableSets(
-    const std::vector<ObjectId>& sources, TimeInterval interval) {
-  return ReachableSets(sources, interval, &pool_, &last_stats_);
-}
-
 Result<std::vector<std::vector<Timestamp>>> SpjEvaluator::ReachableSets(
     const std::vector<ObjectId>& sources, TimeInterval interval,
     BufferPool* pool, QueryStats* stats) const {
   return Closure(sources, interval, kInvalidObject, pool, stats);
-}
-
-Result<std::vector<ReachProfileEntry>> SpjEvaluator::ConstrainedProfile(
-    ObjectId source, TimeInterval interval, const HopConstraints& hops) {
-  return ConstrainedProfile(source, interval, hops, &pool_, &last_stats_);
 }
 
 Result<std::vector<ReachProfileEntry>> SpjEvaluator::ConstrainedProfile(

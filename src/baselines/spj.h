@@ -47,37 +47,24 @@ class SpjEvaluator {
   static Result<std::unique_ptr<SpjEvaluator>> Build(
       const TrajectoryStore& store, const SpjOptions& options);
 
-  /// Evaluates a reachability query. A self-query answers like
-  /// `BruteForceReach` with no IO; any other query is a one-source
-  /// closure whose join stops at the tick that reaches the destination
-  /// (the scan itself is read in full either way).
-  Result<ReachAnswer> Query(const ReachQuery& query);
-
-  /// Re-entrant query path: scans through the caller's buffer pool and
-  /// writes metrics into `*stats`. Safe to call concurrently from many
-  /// threads with distinct pools (see NewSessionPool).
+  /// Evaluates a reachability query, scanning through the caller's
+  /// buffer pool and writing its metrics into `*stats`. A self-query
+  /// answers like `BruteForceReach` with no IO; any other query is a
+  /// one-source closure whose join stops at the tick that reaches the
+  /// destination (the scan itself is read in full either way). Safe to
+  /// call concurrently from many threads with distinct pools.
   Result<ReachAnswer> Query(const ReachQuery& query, BufferPool* pool,
                             QueryStats* stats) const;
 
-  /// Infection time of every object reachable from `source` during
-  /// `interval` (kInvalidTime for unreached): the one-source closure,
-  /// joined to the end of the window, which is what lets the engine's
-  /// result cache memoize SPJ point queries.
-  Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
-                                              TimeInterval interval);
-  Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
-                                              TimeInterval interval,
-                                              BufferPool* pool,
-                                              QueryStats* stats) const;
-
-  /// Multi-source batch closure: `result[i]` equals
-  /// `ReachableSet(sources[i], interval)` exactly, from ONE slab scan and
-  /// ONE per-tick self-join shared by every source — the contact pairs do
-  /// not depend on who is infected, so only the (cheap) mask propagation
-  /// runs per 64-source lane group. The scan is the baseline's whole IO
-  /// bill, so a batch of k sources costs ~1/k of the per-source loop.
-  Result<std::vector<std::vector<Timestamp>>> ReachableSets(
-      const std::vector<ObjectId>& sources, TimeInterval interval);
+  /// Multi-source batch closure: `result[i]` holds every object reachable
+  /// from `sources[i]` during `interval` with its infection time
+  /// (kInvalidTime for unreached), joined to the end of the window, which
+  /// is what lets the engine's result cache memoize SPJ point queries.
+  /// The batch is ONE slab scan and ONE per-tick self-join shared by
+  /// every source — the contact pairs do not depend on who is infected,
+  /// so only the (cheap) mask propagation runs per 64-source lane group.
+  /// The scan is the baseline's whole IO bill, so a batch of k sources
+  /// costs ~1/k of a per-source loop.
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
       const std::vector<ObjectId>& sources, TimeInterval interval,
       BufferPool* pool, QueryStats* stats) const;
@@ -88,20 +75,8 @@ class SpjEvaluator {
   /// recursion runs over them in memory, so the IO bill matches a single
   /// closure.
   Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
-      ObjectId source, TimeInterval interval, const HopConstraints& hops);
-  Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
       ObjectId source, TimeInterval interval, const HopConstraints& hops,
       BufferPool* pool, QueryStats* stats) const;
-
-  /// A fresh buffer pool over this evaluator's storage topology, for one
-  /// concurrent query session (sized like the built-in pool, decoding
-  /// with this evaluator's codec).
-  std::unique_ptr<BufferPool> NewSessionPool() const {
-    auto pool =
-        std::make_unique<BufferPool>(&topology_, options_.buffer_pool_pages);
-    pool->set_page_codec(GetPageCodec(options_.build.page_codec));
-    return pool;
-  }
 
   const StorageTopology& topology() const { return topology_; }
   int num_shards() const { return topology_.num_shards(); }
@@ -109,13 +84,12 @@ class SpjEvaluator {
   /// On-disk record codec the slabs were stored (and must be read) with.
   PageCodecKind page_codec() const { return options_.build.page_codec; }
 
-  const QueryStats& last_query_stats() const { return last_stats_; }
+  const SpjOptions& options() const { return options_; }
   /// Wall-clock seconds the slab-placement build took.
   double build_seconds() const { return build_seconds_; }
   /// Device IO each shard performed during construction (index = shard
   /// id): the write-side profile of the slab placement.
   const std::vector<IoStats>& build_io_stats() const { return build_io_; }
-  void ClearCache() { pool_.Clear(); }
 
  private:
   SpjEvaluator(const SpjOptions& options, TimeInterval span,
@@ -123,11 +97,8 @@ class SpjEvaluator {
       : options_(options),
         topology_(StorageTopologyOptions{options.num_shards,
                                          options.page_size}),
-        pool_(&topology_, options.buffer_pool_pages),
         span_(span),
-        num_objects_(num_objects) {
-    pool_.set_page_codec(GetPageCodec(options.build.page_codec));
-  }
+        num_objects_(num_objects) {}
 
   Status WriteSlabs(const TrajectoryStore& store);
   TimeInterval SlabInterval(int slab) const;
@@ -143,20 +114,18 @@ class SpjEvaluator {
   Status ScanContacts(TimeInterval w, BufferPool* pool,
                       const TickVisitor& visit) const;
 
-  /// The closure behind `Query`, `ReachableSet` and `ReachableSets`: one
-  /// scan, one union-find pass per tick, per-lane infection masks. A
-  /// `destination` other than kInvalidObject stops the join at the first
-  /// tick that reaches it.
+  /// The closure behind `Query` and `ReachableSets`: one scan, one
+  /// union-find pass per tick, per-lane infection masks. A `destination`
+  /// other than kInvalidObject stops the join at the first tick that
+  /// reaches it.
   Result<std::vector<std::vector<Timestamp>>> Closure(
       const std::vector<ObjectId>& sources, TimeInterval interval,
       ObjectId destination, BufferPool* pool, QueryStats* stats) const;
 
   SpjOptions options_;
   StorageTopology topology_;
-  BufferPool pool_;
   TimeInterval span_;
   size_t num_objects_;
-  QueryStats last_stats_;
   double build_seconds_ = 0.0;
   std::vector<IoStats> build_io_;  // Per-shard build-phase device IO.
   std::vector<Extent> slab_extents_;

@@ -38,17 +38,11 @@ Result<ReachAnswer> BruteForceReachability::Query(const ReachQuery& query) {
                          query.interval);
 }
 
-Result<std::vector<Timestamp>> BruteForceReachability::ReachableSet(
-    ObjectId source, TimeInterval interval) {
-  QueryScope scope(/*pool=*/nullptr, &stats_);
-  return BruteForceClosure(*network_, source, interval);
-}
-
 Result<std::vector<std::vector<Timestamp>>>
 BruteForceReachability::ReachableSets(const std::vector<ObjectId>& sources,
                                       TimeInterval interval) {
-  // Same per-source oracle sweeps, accounted as one batch so
-  // last_query_stats() matches the overriding backends' contract.
+  // Per-source oracle sweeps, accounted as one batch like every other
+  // backend's.
   QueryScope scope(/*pool=*/nullptr, &stats_);
   std::vector<std::vector<Timestamp>> sets;
   sets.reserve(sources.size());
@@ -81,25 +75,67 @@ std::unique_ptr<ReachabilityIndex> BruteForceReachability::NewSession() const {
   return std::make_unique<BruteForceReachability>(network_);
 }
 
-// -------------------------------------------------------------- ReachGrid
-
 namespace {
 
-class ReachGridBackend : public ReachabilityIndex {
+// ---------------------------------------------------------- disk sessions
+
+/// \brief The one session over a disk-resident index: the shared
+/// immutable index, this session's buffer pool over its storage, and its
+/// stats slot. Everything a disk session does besides running queries
+/// lives here once; each backend below adds only its query calls, its
+/// name and `Fork`.
+template <typename Index>
+class PooledSession : public ReachabilityIndex {
  public:
-  explicit ReachGridBackend(std::shared_ptr<const ReachGridIndex> index)
-      : index_(std::move(index)), pool_(index_->NewSessionPool()) {}
+  explicit PooledSession(std::shared_ptr<const Index> index)
+      : index_(std::move(index)),
+        pool_(std::make_unique<BufferPool>(
+            &index_->topology(), index_->options().buffer_pool_pages)) {
+    pool_->set_page_codec(GetPageCodec(index_->page_codec()));
+  }
+
+  const QueryStats& last_query_stats() const override { return stats_; }
+  void ClearCache() override { pool_->Clear(); }
+  void SetIoQueueDepth(int depth) override {
+    pool_->set_io_queue_depth(depth);
+  }
+  void SetMaxReadRetries(int retries) override {
+    pool_->set_max_read_retries(retries);
+  }
+  int num_shards() const override { return pool_->num_shards(); }
+  std::vector<IoStats> shard_io_stats() const override {
+    return pool_->PerShardIoStats();
+  }
+  std::optional<PageCodecKind> page_codec() const override {
+    return index_->page_codec();
+  }
+  std::shared_ptr<const void> IndexIdentity() const override {
+    return index_;
+  }
+
+  std::unique_ptr<ReachabilityIndex> NewSession() const final {
+    std::unique_ptr<ReachabilityIndex> session = Fork();
+    session->SetIoQueueDepth(pool_->io_queue_depth());
+    session->SetMaxReadRetries(pool_->max_read_retries());
+    return session;
+  }
+
+ protected:
+  /// A fresh session over the same index with this backend's own
+  /// settings (traversal, worker threads); `NewSession` adds the pool's.
+  virtual std::unique_ptr<ReachabilityIndex> Fork() const = 0;
+
+  std::shared_ptr<const Index> index_;
+  std::unique_ptr<BufferPool> pool_;
+  QueryStats stats_;
+};
+
+class ReachGridSession final : public PooledSession<ReachGridIndex> {
+ public:
+  using PooledSession::PooledSession;
 
   Result<ReachAnswer> Query(const ReachQuery& query) override {
     return index_->Query(query, pool_.get(), &stats_);
-  }
-
-  Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
-                                              TimeInterval interval) override {
-    auto sets = index_->ReachableSets({source}, interval, pool_.get(),
-                                      &stats_, frontier_.get());
-    if (!sets.ok()) return sets.status();
-    return std::move((*sets)[0]);
   }
 
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
@@ -125,25 +161,6 @@ class ReachGridBackend : public ReachabilityIndex {
     pool_->set_thread_safe(threads > 1);
   }
 
-  const QueryStats& last_query_stats() const override { return stats_; }
-  void ClearCache() override { pool_->Clear(); }
-  void SetIoQueueDepth(int depth) override {
-    pool_->set_io_queue_depth(depth);
-  }
-  void SetMaxReadRetries(int retries) override {
-    pool_->set_max_read_retries(retries);
-  }
-  int num_shards() const override { return pool_->num_shards(); }
-  std::vector<IoStats> shard_io_stats() const override {
-    return pool_->PerShardIoStats();
-  }
-  std::optional<PageCodecKind> page_codec() const override {
-    return index_->page_codec();
-  }
-  std::shared_ptr<const void> IndexIdentity() const override {
-    return index_;
-  }
-
   std::string DescribeIndex() const override {
     const ReachGridOptions& o = index_->options();
     return "ReachGrid(RT=" + std::to_string(o.temporal_resolution) +
@@ -151,31 +168,22 @@ class ReachGridBackend : public ReachabilityIndex {
            "m)";
   }
 
-  std::unique_ptr<ReachabilityIndex> NewSession() const override {
-    auto session = std::make_unique<ReachGridBackend>(index_);
-    session->SetIoQueueDepth(pool_->io_queue_depth());
-    session->SetMaxReadRetries(pool_->max_read_retries());
+ private:
+  std::unique_ptr<ReachabilityIndex> Fork() const override {
+    auto session = std::make_unique<ReachGridSession>(index_);
     session->SetTraversalThreads(traversal_threads_);
     return session;
   }
 
- private:
-  std::shared_ptr<const ReachGridIndex> index_;
-  std::unique_ptr<BufferPool> pool_;
-  QueryStats stats_;
   int traversal_threads_ = 1;
   std::unique_ptr<FrontierPool> frontier_;
 };
 
-// ------------------------------------------------------------- ReachGraph
-
-class ReachGraphBackend : public ReachabilityIndex {
+class ReachGraphSession final : public PooledSession<ReachGraphIndex> {
  public:
-  ReachGraphBackend(std::shared_ptr<const ReachGraphIndex> index,
+  ReachGraphSession(std::shared_ptr<const ReachGraphIndex> index,
                     ReachGraphTraversal traversal)
-      : index_(std::move(index)),
-        traversal_(traversal),
-        pool_(index_->NewSessionPool()) {}
+      : PooledSession(std::move(index)), traversal_(traversal) {}
 
   Result<ReachAnswer> Query(const ReachQuery& query) override {
     switch (traversal_) {
@@ -191,9 +199,36 @@ class ReachGraphBackend : public ReachabilityIndex {
     return Status::Internal("unknown traversal mode");
   }
 
-  Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
-                                              TimeInterval interval) override {
-    return index_->ReachableSet(source, interval, pool_.get(), &stats_);
+  Result<std::vector<std::vector<Timestamp>>> ReachableSets(
+      const std::vector<ObjectId>& sources, TimeInterval interval) override {
+    return index_->ReachableSets(sources, interval, pool_.get(), &stats_);
+  }
+
+  Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
+      ObjectId source, TimeInterval interval,
+      const HopConstraints& hops) override {
+    return index_->ConstrainedProfile(source, interval, hops, pool_.get(),
+                                      &stats_);
+  }
+
+  std::string DescribeIndex() const override {
+    return std::string("ReachGraph(") + ToString(traversal_) + ")";
+  }
+
+ private:
+  std::unique_ptr<ReachabilityIndex> Fork() const override {
+    return std::make_unique<ReachGraphSession>(index_, traversal_);
+  }
+
+  ReachGraphTraversal traversal_;
+};
+
+class SpjSession final : public PooledSession<SpjEvaluator> {
+ public:
+  using PooledSession::PooledSession;
+
+  Result<ReachAnswer> Query(const ReachQuery& query) override {
+    return index_->Query(query, pool_.get(), &stats_);
   }
 
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
@@ -208,165 +243,55 @@ class ReachGraphBackend : public ReachabilityIndex {
                                       &stats_);
   }
 
-  const QueryStats& last_query_stats() const override { return stats_; }
-  void ClearCache() override { pool_->Clear(); }
-  void SetIoQueueDepth(int depth) override {
-    pool_->set_io_queue_depth(depth);
+  std::string DescribeIndex() const override { return "SPJ(scan-join)"; }
+
+ private:
+  std::unique_ptr<ReachabilityIndex> Fork() const override {
+    return std::make_unique<SpjSession>(index_);
   }
-  void SetMaxReadRetries(int retries) override {
-    pool_->set_max_read_retries(retries);
-  }
-  int num_shards() const override { return pool_->num_shards(); }
-  std::vector<IoStats> shard_io_stats() const override {
-    return pool_->PerShardIoStats();
-  }
-  std::optional<PageCodecKind> page_codec() const override {
-    return index_->page_codec();
+};
+
+class GrailDiskSession final : public PooledSession<GrailIndex> {
+ public:
+  using PooledSession::PooledSession;
+
+  Result<ReachAnswer> Query(const ReachQuery& query) override {
+    return index_->QueryDisk(query, pool_.get(), &stats_);
   }
 
+  std::string DescribeIndex() const override { return "GRAIL(disk)"; }
+
+ private:
+  std::unique_ptr<ReachabilityIndex> Fork() const override {
+    return std::make_unique<GrailDiskSession>(index_);
+  }
+};
+
+// --------------------------------------------------------- GRAIL (memory)
+
+/// GRAIL over its in-memory labels: no pool, no IO, no storage settings.
+class GrailMemorySession final : public ReachabilityIndex {
+ public:
+  explicit GrailMemorySession(std::shared_ptr<const GrailIndex> index)
+      : index_(std::move(index)) {}
+
+  Result<ReachAnswer> Query(const ReachQuery& query) override {
+    return index_->QueryMemory(query, &stats_);
+  }
+
+  const QueryStats& last_query_stats() const override { return stats_; }
+  void ClearCache() override {}
   std::shared_ptr<const void> IndexIdentity() const override {
     return index_;
   }
-
-  std::string DescribeIndex() const override {
-    return std::string("ReachGraph(") + ToString(traversal_) + ")";
-  }
+  std::string DescribeIndex() const override { return "GRAIL(memory)"; }
 
   std::unique_ptr<ReachabilityIndex> NewSession() const override {
-    auto session = std::make_unique<ReachGraphBackend>(index_, traversal_);
-    session->SetIoQueueDepth(pool_->io_queue_depth());
-    session->SetMaxReadRetries(pool_->max_read_retries());
-    return session;
+    return std::make_unique<GrailMemorySession>(index_);
   }
 
  private:
-  std::shared_ptr<const ReachGraphIndex> index_;
-  ReachGraphTraversal traversal_;
-  std::unique_ptr<BufferPool> pool_;
-  QueryStats stats_;
-};
-
-// -------------------------------------------------------------------- SPJ
-
-class SpjBackend : public ReachabilityIndex {
- public:
-  explicit SpjBackend(std::shared_ptr<const SpjEvaluator> spj)
-      : spj_(std::move(spj)), pool_(spj_->NewSessionPool()) {}
-
-  Result<ReachAnswer> Query(const ReachQuery& query) override {
-    return spj_->Query(query, pool_.get(), &stats_);
-  }
-
-  Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
-                                              TimeInterval interval) override {
-    return spj_->ReachableSet(source, interval, pool_.get(), &stats_);
-  }
-
-  Result<std::vector<std::vector<Timestamp>>> ReachableSets(
-      const std::vector<ObjectId>& sources, TimeInterval interval) override {
-    return spj_->ReachableSets(sources, interval, pool_.get(), &stats_);
-  }
-
-  Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
-      ObjectId source, TimeInterval interval,
-      const HopConstraints& hops) override {
-    return spj_->ConstrainedProfile(source, interval, hops, pool_.get(),
-                                    &stats_);
-  }
-
-  const QueryStats& last_query_stats() const override { return stats_; }
-  void ClearCache() override { pool_->Clear(); }
-  void SetIoQueueDepth(int depth) override {
-    pool_->set_io_queue_depth(depth);
-  }
-  void SetMaxReadRetries(int retries) override {
-    pool_->set_max_read_retries(retries);
-  }
-  int num_shards() const override { return pool_->num_shards(); }
-  std::vector<IoStats> shard_io_stats() const override {
-    return pool_->PerShardIoStats();
-  }
-  std::optional<PageCodecKind> page_codec() const override {
-    return spj_->page_codec();
-  }
-  std::shared_ptr<const void> IndexIdentity() const override {
-    return spj_;
-  }
-  std::string DescribeIndex() const override { return "SPJ(scan-join)"; }
-
-  std::unique_ptr<ReachabilityIndex> NewSession() const override {
-    auto session = std::make_unique<SpjBackend>(spj_);
-    session->SetIoQueueDepth(pool_->io_queue_depth());
-    session->SetMaxReadRetries(pool_->max_read_retries());
-    return session;
-  }
-
- private:
-  std::shared_ptr<const SpjEvaluator> spj_;
-  std::unique_ptr<BufferPool> pool_;
-  QueryStats stats_;
-};
-
-// ------------------------------------------------------------------ GRAIL
-
-class GrailBackend : public ReachabilityIndex {
- public:
-  GrailBackend(std::shared_ptr<const GrailIndex> grail, GrailMode mode)
-      : grail_(std::move(grail)),
-        mode_(mode),
-        pool_(mode == GrailMode::kDisk ? grail_->NewSessionPool() : nullptr) {}
-
-  Result<ReachAnswer> Query(const ReachQuery& query) override {
-    if (mode_ == GrailMode::kMemory) {
-      return grail_->QueryMemory(query, &stats_);
-    }
-    return grail_->QueryDisk(query, pool_.get(), &stats_);
-  }
-
-  const QueryStats& last_query_stats() const override { return stats_; }
-  void ClearCache() override {
-    if (pool_ != nullptr) pool_->Clear();
-  }
-  void SetIoQueueDepth(int depth) override {
-    if (pool_ != nullptr) pool_->set_io_queue_depth(depth);
-  }
-  void SetMaxReadRetries(int retries) override {
-    if (pool_ != nullptr) pool_->set_max_read_retries(retries);
-  }
-
-  int num_shards() const override {
-    return pool_ != nullptr ? pool_->num_shards() : 1;
-  }
-  std::vector<IoStats> shard_io_stats() const override {
-    return pool_ != nullptr ? pool_->PerShardIoStats()
-                            : std::vector<IoStats>{};
-  }
-  std::optional<PageCodecKind> page_codec() const override {
-    if (mode_ == GrailMode::kMemory) return std::nullopt;
-    return grail_->page_codec();
-  }
-
-  std::shared_ptr<const void> IndexIdentity() const override {
-    return grail_;
-  }
-
-  std::string DescribeIndex() const override {
-    return mode_ == GrailMode::kMemory ? "GRAIL(memory)" : "GRAIL(disk)";
-  }
-
-  std::unique_ptr<ReachabilityIndex> NewSession() const override {
-    auto session = std::make_unique<GrailBackend>(grail_, mode_);
-    if (pool_ != nullptr) {
-      session->SetIoQueueDepth(pool_->io_queue_depth());
-      session->SetMaxReadRetries(pool_->max_read_retries());
-    }
-    return session;
-  }
-
- private:
-  std::shared_ptr<const GrailIndex> grail_;
-  GrailMode mode_;
-  std::unique_ptr<BufferPool> pool_;
+  std::shared_ptr<const GrailIndex> index_;
   QueryStats stats_;
 };
 
@@ -377,26 +302,29 @@ class GrailBackend : public ReachabilityIndex {
 std::unique_ptr<ReachabilityIndex> MakeReachGridBackend(
     std::shared_ptr<const ReachGridIndex> index) {
   STREACH_CHECK(index != nullptr);
-  return std::make_unique<ReachGridBackend>(std::move(index));
+  return std::make_unique<ReachGridSession>(std::move(index));
 }
 
 std::unique_ptr<ReachabilityIndex> MakeReachGraphBackend(
     std::shared_ptr<const ReachGraphIndex> index,
     ReachGraphTraversal traversal) {
   STREACH_CHECK(index != nullptr);
-  return std::make_unique<ReachGraphBackend>(std::move(index), traversal);
+  return std::make_unique<ReachGraphSession>(std::move(index), traversal);
 }
 
 std::unique_ptr<ReachabilityIndex> MakeSpjBackend(
     std::shared_ptr<const SpjEvaluator> spj) {
   STREACH_CHECK(spj != nullptr);
-  return std::make_unique<SpjBackend>(std::move(spj));
+  return std::make_unique<SpjSession>(std::move(spj));
 }
 
 std::unique_ptr<ReachabilityIndex> MakeGrailBackend(
     std::shared_ptr<const GrailIndex> grail, GrailMode mode) {
   STREACH_CHECK(grail != nullptr);
-  return std::make_unique<GrailBackend>(std::move(grail), mode);
+  if (mode == GrailMode::kMemory) {
+    return std::make_unique<GrailMemorySession>(std::move(grail));
+  }
+  return std::make_unique<GrailDiskSession>(std::move(grail));
 }
 
 std::unique_ptr<ReachabilityIndex> MakeBruteForceBackend(

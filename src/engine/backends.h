@@ -35,8 +35,6 @@ class BruteForceReachability : public ReachabilityIndex {
       std::shared_ptr<const ContactNetwork> network);
 
   Result<ReachAnswer> Query(const ReachQuery& query) override;
-  Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
-                                              TimeInterval interval) override;
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
       const std::vector<ObjectId>& sources, TimeInterval interval) override;
   Result<std::vector<ReachProfileEntry>> ConstrainedProfile(

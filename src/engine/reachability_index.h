@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/query_stats.h"
@@ -25,12 +26,14 @@ namespace streach {
 /// here.
 ///
 /// A `ReachabilityIndex` instance is a *session*: it bundles the shared
-/// immutable index structure with one private buffer pool and one
-/// `QueryStats` slot, so a single instance must only be used from one
-/// thread at a time. `NewSession()` mints additional sessions over the
-/// same underlying index — that is how the `QueryEngine` gives each worker
-/// thread its own buffer pool while sharing the (read-only) simulated
-/// disk.
+/// index structure with one private buffer pool and one `QueryStats`
+/// slot, so a single instance must only be used from one thread at a
+/// time. The disk indexes (ReachGrid, ReachGraph, SPJ, GRAIL) cannot
+/// change after `Build` and hold no query state; a session is the only
+/// way to query one. `NewSession()` mints additional sessions over the
+/// same underlying index — that is how the `QueryEngine` gives each
+/// worker thread its own buffer pool while sharing the (read-only)
+/// simulated disk.
 class ReachabilityIndex {
  public:
   virtual ~ReachabilityIndex() = default;
@@ -39,35 +42,28 @@ class ReachabilityIndex {
   virtual Result<ReachAnswer> Query(const ReachQuery& query) = 0;
 
   /// Infection time of every object reachable from `source` during
-  /// `interval` (kInvalidTime for unreached objects). Backends that only
-  /// answer point queries return NotSupported.
+  /// `interval` (kInvalidTime for unreached objects): the one-source
+  /// `ReachableSets`, so it is NotSupported wherever that is.
   virtual Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
                                                       TimeInterval interval) {
-    (void)source;
+    std::vector<std::vector<Timestamp>> sets;
+    STREACH_ASSIGN_OR_RETURN(sets, ReachableSets({source}, interval));
+    return std::move(sets[0]);
+  }
+
+  /// Multi-source batch closure: `result[i]` is the set of objects
+  /// reachable from `sources[i]` during `interval`, with infection times.
+  /// Every backend that enumerates sets runs the whole batch as ONE sweep
+  /// — per-source reach tracked in a bitset slab, every page fetched once
+  /// no matter how many seeds need it — and `last_query_stats()` then
+  /// covers the whole batch. Backends that only answer point queries
+  /// return NotSupported.
+  virtual Result<std::vector<std::vector<Timestamp>>> ReachableSets(
+      const std::vector<ObjectId>& sources, TimeInterval interval) {
+    (void)sources;
     (void)interval;
     return Status::NotSupported(DescribeIndex() +
                                 " does not enumerate reachable sets");
-  }
-
-  /// Multi-source batch closure: `result[i]` is exactly
-  /// `ReachableSet(sources[i], interval)`. Backends with a shared-frontier
-  /// implementation override this to run ONE sweep for the whole batch —
-  /// per-source reach tracked in a bitset slab, every page fetched once no
-  /// matter how many seeds need it — so the batch costs far fewer reads
-  /// than the per-source loop this default falls back to. Answers are
-  /// byte-identical to the loop either way. After the call,
-  /// `last_query_stats()` covers the whole batch for overriding backends
-  /// (the default loop leaves the final source's stats).
-  virtual Result<std::vector<std::vector<Timestamp>>> ReachableSets(
-      const std::vector<ObjectId>& sources, TimeInterval interval) {
-    std::vector<std::vector<Timestamp>> sets;
-    sets.reserve(sources.size());
-    for (ObjectId source : sources) {
-      auto set = ReachableSet(source, interval);
-      if (!set.ok()) return set.status();
-      sets.push_back(std::move(*set));
-    }
-    return sets;
   }
 
   /// Constrained reachability profile: earliest arrival time and minimum

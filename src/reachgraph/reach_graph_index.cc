@@ -354,42 +354,6 @@ Result<VertexId> ReachGraphIndex::LookupVertex(ObjectId object, Timestamp t,
   return Status::NotFound("object has no vertex at requested time");
 }
 
-void ReachGraphIndex::ClearCache() { pool_.Clear(); }
-
-Result<ReachAnswer> ReachGraphIndex::QueryBmBfs(const ReachQuery& query) {
-  return QueryBmBfs(query, &pool_, &last_stats_);
-}
-
-Result<ReachAnswer> ReachGraphIndex::QueryBBfs(const ReachQuery& query) {
-  return QueryBBfs(query, &pool_, &last_stats_);
-}
-
-Result<ReachAnswer> ReachGraphIndex::QueryEBfs(const ReachQuery& query) {
-  return QueryEBfs(query, &pool_, &last_stats_);
-}
-
-Result<ReachAnswer> ReachGraphIndex::QueryEDfs(const ReachQuery& query) {
-  return QueryEDfs(query, &pool_, &last_stats_);
-}
-
-Result<std::vector<Timestamp>> ReachGraphIndex::ReachableSet(
-    ObjectId source, TimeInterval interval) {
-  return ReachableSet(source, interval, &pool_, &last_stats_);
-}
-
-Result<std::vector<Timestamp>> ReachGraphIndex::ReachableSet(
-    ObjectId source, TimeInterval interval, BufferPool* pool,
-    QueryStats* stats) const {
-  auto sets = ReachableSets({source}, interval, pool, stats);
-  if (!sets.ok()) return sets.status();
-  return std::move((*sets)[0]);
-}
-
-Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
-    const std::vector<ObjectId>& sources, TimeInterval interval) {
-  return ReachableSets(sources, interval, &pool_, &last_stats_);
-}
-
 Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
     const std::vector<ObjectId>& sources, TimeInterval interval,
     BufferPool* pool, QueryStats* stats) const {
@@ -525,11 +489,6 @@ Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
   }
   scope.Finish();
   return sets;
-}
-
-Result<std::vector<ReachProfileEntry>> ReachGraphIndex::ConstrainedProfile(
-    ObjectId source, TimeInterval interval, const HopConstraints& hops) {
-  return ConstrainedProfile(source, interval, hops, &pool_, &last_stats_);
 }
 
 Result<std::vector<ReachProfileEntry>> ReachGraphIndex::ConstrainedProfile(

@@ -81,37 +81,33 @@ class ReachGraphIndex {
   static Result<std::unique_ptr<ReachGraphIndex>> BuildFromDn(
       DnGraph dn, const ReachGraphOptions& options);
 
-  Result<ReachAnswer> QueryBmBfs(const ReachQuery& query);
-  Result<ReachAnswer> QueryBBfs(const ReachQuery& query);
-  Result<ReachAnswer> QueryEBfs(const ReachQuery& query);
-  Result<ReachAnswer> QueryEDfs(const ReachQuery& query);
+  /// The four query processors. Each traverses through the caller's
+  /// buffer pool and writes its metrics into `*stats`; all are safe to
+  /// call concurrently from many threads with distinct pools.
+  Result<ReachAnswer> QueryBmBfs(const ReachQuery& query, BufferPool* pool,
+                                 QueryStats* stats) const;
+  Result<ReachAnswer> QueryBBfs(const ReachQuery& query, BufferPool* pool,
+                                QueryStats* stats) const;
+  Result<ReachAnswer> QueryEBfs(const ReachQuery& query, BufferPool* pool,
+                                QueryStats* stats) const;
+  Result<ReachAnswer> QueryEDfs(const ReachQuery& query, BufferPool* pool,
+                                QueryStats* stats) const;
 
-  /// All objects reachable from `source` during `interval` with their
-  /// infection times (kInvalidTime for unreached objects), matching
-  /// `BruteForceClosure`: a one-source `ReachableSets`. This is what lets
-  /// the engine's result cache memoize ReachGraph point queries instead
-  /// of falling back.
-  Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
-                                              TimeInterval interval);
-  Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
-                                              TimeInterval interval,
-                                              BufferPool* pool,
-                                              QueryStats* stats) const;
-
-  /// Multi-source batch closure: `result[i]` equals
-  /// `ReachableSet(sources[i], interval)` exactly. Implemented as a member
-  /// sweep over the partition-resident vertices and the on-disk Ht
-  /// timelines: a time-ordered Dijkstra pops the earliest-entered
-  /// component, infects its members, and follows each newly infected
-  /// member's timeline into the components it carries the item to —
-  /// exactly the semantics DN_1 edges encode, without needing a
+  /// Multi-source batch closure: `result[i]` holds every object reachable
+  /// from `sources[i]` during `interval` with its infection time
+  /// (kInvalidTime for unreached objects), matching `BruteForceClosure`.
+  /// Implemented as a member sweep over the partition-resident vertices
+  /// and the on-disk Ht timelines: a time-ordered Dijkstra pops the
+  /// earliest-entered component, infects its members, and follows each
+  /// newly infected member's timeline into the components it carries the
+  /// item to — exactly the semantics DN_1 edges encode, without needing a
   /// destination to steer toward. Sources run in lanes of 64 — one masked
   /// Dijkstra per lane group with per-vertex/per-object reach bitmasks —
   /// and every object timeline and partition blob is read once for the
   /// whole batch instead of once per source, which is where the
-  /// batched-IO savings come from.
-  Result<std::vector<std::vector<Timestamp>>> ReachableSets(
-      const std::vector<ObjectId>& sources, TimeInterval interval);
+  /// batched-IO savings come from. This is also what lets the engine's
+  /// result cache memoize ReachGraph point queries instead of falling
+  /// back.
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
       const std::vector<ObjectId>& sources, TimeInterval interval,
       BufferPool* pool, QueryStats* stats) const;
@@ -125,32 +121,8 @@ class ReachGraphIndex {
   /// earliest admissible entry. Timelines and partitions are cached
   /// across levels, so the IO bill is close to one member sweep.
   Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
-      ObjectId source, TimeInterval interval, const HopConstraints& hops);
-  Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
       ObjectId source, TimeInterval interval, const HopConstraints& hops,
       BufferPool* pool, QueryStats* stats) const;
-
-  /// Re-entrant query paths: traverse through the caller's buffer pool and
-  /// write metrics into `*stats`. Safe to call concurrently from many
-  /// threads with distinct pools (see NewSessionPool).
-  Result<ReachAnswer> QueryBmBfs(const ReachQuery& query, BufferPool* pool,
-                                 QueryStats* stats) const;
-  Result<ReachAnswer> QueryBBfs(const ReachQuery& query, BufferPool* pool,
-                                QueryStats* stats) const;
-  Result<ReachAnswer> QueryEBfs(const ReachQuery& query, BufferPool* pool,
-                                QueryStats* stats) const;
-  Result<ReachAnswer> QueryEDfs(const ReachQuery& query, BufferPool* pool,
-                                QueryStats* stats) const;
-
-  /// A fresh buffer pool over this index's storage topology, for one
-  /// concurrent query session (sized like the built-in pool, decoding
-  /// with this index's codec).
-  std::unique_ptr<BufferPool> NewSessionPool() const {
-    auto pool =
-        std::make_unique<BufferPool>(&topology_, options_.buffer_pool_pages);
-    pool->set_page_codec(GetPageCodec(options_.build.page_codec));
-    return pool;
-  }
 
   const StorageTopology& topology() const { return topology_; }
   int num_shards() const { return topology_.num_shards(); }
@@ -158,16 +130,11 @@ class ReachGraphIndex {
   /// On-disk record codec this index was built (and must be read) with.
   PageCodecKind page_codec() const { return options_.build.page_codec; }
 
-  /// Metrics of the most recent query.
-  const QueryStats& last_query_stats() const { return last_stats_; }
   const ReachGraphBuildStats& build_stats() const { return build_stats_; }
   /// Device IO each shard performed during construction (index = shard
   /// id): the write-side profile of the placement phase.
   const std::vector<IoStats>& build_io_stats() const { return build_io_; }
   const ReachGraphOptions& options() const { return options_; }
-
-  /// Evicts all buffered pages so the next query runs cold.
-  void ClearCache();
 
   size_t num_vertices() const { return vertex_partition_.size(); }
   uint64_t num_partitions() const { return partition_extents_.size(); }
@@ -183,13 +150,10 @@ class ReachGraphIndex {
   };
   using ParsedPartition = std::unordered_map<VertexId, StoredVertex>;
 
-  ReachGraphIndex(const ReachGraphOptions& options)
+  explicit ReachGraphIndex(const ReachGraphOptions& options)
       : options_(options),
         topology_(StorageTopologyOptions{options.num_shards,
-                                         options.page_size}),
-        pool_(&topology_, options.buffer_pool_pages) {
-    pool_.set_page_codec(GetPageCodec(options.build.page_codec));
-  }
+                                         options.page_size}) {}
 
   Status PlaceOnDisk(const DnGraph& graph);
 
@@ -240,10 +204,8 @@ class ReachGraphIndex {
 
   ReachGraphOptions options_;
   StorageTopology topology_;
-  BufferPool pool_;
   ReachGraphBuildStats build_stats_;
   std::vector<IoStats> build_io_;  // Per-shard build-phase device IO.
-  QueryStats last_stats_;
 
   // In-memory directory (metadata): partition of each vertex, extent of
   // each partition, extent of each object timeline.

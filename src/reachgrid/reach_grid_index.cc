@@ -413,12 +413,6 @@ Status ReachGridIndex::AdmitSeeds(const std::vector<ObjectId>& batch,
   return FetchCells(std::move(wanted), ctx);
 }
 
-void ReachGridIndex::ClearCache() { pool_.Clear(); }
-
-Result<ReachAnswer> ReachGridIndex::Query(const ReachQuery& query) {
-  return Query(query, &pool_, &last_stats_);
-}
-
 Result<ReachAnswer> ReachGridIndex::Query(const ReachQuery& query,
                                           BufferPool* pool,
                                           QueryStats* stats) const {
@@ -430,34 +424,6 @@ Result<ReachAnswer> ReachGridIndex::Query(const ReachQuery& query,
                          pool, stats, /*frontier=*/nullptr);
   if (!sets.ok()) return sets.status();
   return AnswerFromSet((*sets)[0], query.destination);
-}
-
-Result<std::vector<Timestamp>> ReachGridIndex::ReachableSet(
-    ObjectId source, TimeInterval interval) {
-  return ReachableSet(source, interval, &pool_, &last_stats_);
-}
-
-Result<std::vector<Timestamp>> ReachGridIndex::ReachableSet(
-    ObjectId source, TimeInterval interval, BufferPool* pool,
-    QueryStats* stats) const {
-  auto sets = MultiSweep({source}, interval, kInvalidObject, pool, stats,
-                         /*frontier=*/nullptr);
-  if (!sets.ok()) return sets.status();
-  return std::move((*sets)[0]);
-}
-
-void ReachGridIndex::SetTraversalThreads(int threads) {
-  if (threads < 1) threads = 1;
-  if (threads == traversal_threads_) return;
-  traversal_threads_ = threads;
-  frontier_ = threads > 1 ? std::make_unique<FrontierPool>(threads) : nullptr;
-  pool_.set_thread_safe(threads > 1);
-}
-
-Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::ReachableSets(
-    const std::vector<ObjectId>& sources, TimeInterval interval) {
-  return ReachableSets(sources, interval, &pool_, &last_stats_,
-                       frontier_.get());
 }
 
 Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::ReachableSets(
@@ -645,11 +611,6 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
   }
   scope.Finish();
   return sets;
-}
-
-Result<std::vector<ReachProfileEntry>> ReachGridIndex::ConstrainedProfile(
-    ObjectId source, TimeInterval interval, const HopConstraints& hops) {
-  return ConstrainedProfile(source, interval, hops, &pool_, &last_stats_);
 }
 
 Result<std::vector<ReachProfileEntry>> ReachGridIndex::ConstrainedProfile(

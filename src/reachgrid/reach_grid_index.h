@@ -75,39 +75,24 @@ class ReachGridIndex {
   static Result<std::unique_ptr<ReachGridIndex>> Build(
       const TrajectoryStore& store, const ReachGridOptions& options);
 
-  /// Evaluates a reachability query; returns the answer with the earliest
-  /// arrival tick when reachable. A self-query answers like
-  /// `BruteForceReach` with no IO; any other query is a one-source
-  /// closure sweep that stops at the destination. Uses the index's
-  /// built-in buffer pool and records into `last_query_stats()` —
-  /// single-threaded convenience.
-  Result<ReachAnswer> Query(const ReachQuery& query);
-
-  /// Re-entrant query path: traverses through the caller's buffer pool
-  /// and writes metrics into `*stats`. Safe to call concurrently from
-  /// many threads with distinct pools (see NewSessionPool).
+  /// Evaluates a reachability query through `pool`, writing its metrics
+  /// into `*stats`; returns the answer with the earliest arrival tick
+  /// when reachable. A self-query answers like `BruteForceReach` with no
+  /// IO; any other query is a one-source closure sweep that stops at the
+  /// destination. Safe to call concurrently from many threads with
+  /// distinct pools.
   Result<ReachAnswer> Query(const ReachQuery& query, BufferPool* pool,
                             QueryStats* stats) const;
 
-  /// All objects reachable from `source` during `interval` with their
-  /// infection times (the one-source closure sweep, run to the end of the
-  /// window); entry is kInvalidTime for unreached objects.
-  Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
-                                              TimeInterval interval);
-  Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
-                                              TimeInterval interval,
-                                              BufferPool* pool,
-                                              QueryStats* stats) const;
-
-  /// Multi-source batch closure: `result[i]` equals
-  /// `ReachableSet(sources[i], interval)` exactly, and the whole batch is
-  /// ONE shared-frontier sweep — per-source reach lives in a bitset slab,
-  /// every cell record is fetched once no matter how many seeds need it,
-  /// and each chaining round's contact tests fan out over `frontier`
-  /// (null or 1 thread: the identical sequential rounds). A singleton
-  /// batch on one thread is the sweep `ReachableSet` runs, page for page.
-  Result<std::vector<std::vector<Timestamp>>> ReachableSets(
-      const std::vector<ObjectId>& sources, TimeInterval interval);
+  /// Multi-source batch closure: `result[i]` holds every object reachable
+  /// from `sources[i]` during `interval` with its infection time
+  /// (kInvalidTime for unreached objects), and the whole batch is ONE
+  /// shared-frontier sweep run to the end of the window — per-source
+  /// reach lives in a bitset slab, every cell record is fetched once no
+  /// matter how many seeds need it, and each chaining round's contact
+  /// tests fan out over `frontier` (null or 1 thread: the identical
+  /// sequential rounds). A singleton batch on one thread is the sweep
+  /// `Query` runs, page for page, minus the early exit.
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
       const std::vector<ObjectId>& sources, TimeInterval interval,
       BufferPool* pool, QueryStats* stats, FrontierPool* frontier) const;
@@ -123,26 +108,8 @@ class ReachGridIndex {
   /// than itself. Sequential; the buffer pool amortizes repeated cell
   /// fetches across levels.
   Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
-      ObjectId source, TimeInterval interval, const HopConstraints& hops);
-  Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
       ObjectId source, TimeInterval interval, const HopConstraints& hops,
       BufferPool* pool, QueryStats* stats) const;
-
-  /// Worker threads the convenience `ReachableSets` uses for frontier
-  /// rounds (1 = every round on the calling thread; the built-in pool
-  /// switches to thread-safe mode beyond that). Re-entrant callers pass
-  /// their own `FrontierPool` instead.
-  void SetTraversalThreads(int threads);
-
-  /// A fresh buffer pool over this index's storage topology, for one
-  /// concurrent query session (sized like the built-in pool, decoding
-  /// with this index's codec).
-  std::unique_ptr<BufferPool> NewSessionPool() const {
-    auto pool =
-        std::make_unique<BufferPool>(&topology_, options_.buffer_pool_pages);
-    pool->set_page_codec(GetPageCodec(options_.build.page_codec));
-    return pool;
-  }
 
   const StorageTopology& topology() const { return topology_; }
   int num_shards() const { return topology_.num_shards(); }
@@ -150,16 +117,12 @@ class ReachGridIndex {
   /// On-disk record codec this index was built (and must be read) with.
   PageCodecKind page_codec() const { return options_.build.page_codec; }
 
-  const QueryStats& last_query_stats() const { return last_stats_; }
   const ReachGridBuildStats& build_stats() const { return build_stats_; }
   /// Device IO each shard performed during construction (index = shard
   /// id): the write-side profile — total pages written, how many went
   /// through the batched write queues, and their mean occupancy.
   const std::vector<IoStats>& build_io_stats() const { return build_io_; }
   const ReachGridOptions& options() const { return options_; }
-
-  /// Evicts all buffered pages so the next query runs cold.
-  void ClearCache();
 
   int num_buckets() const { return static_cast<int>(bucket_cells_.size()); }
   TimeInterval BucketInterval(int bucket) const;
@@ -170,12 +133,9 @@ class ReachGridIndex {
       : options_(options),
         topology_(StorageTopologyOptions{options.num_shards,
                                          options.page_size}),
-        pool_(&topology_, options.buffer_pool_pages),
         grid_(extent, options.spatial_cell_size),
         span_(span),
-        num_objects_(num_objects) {
-    pool_.set_page_codec(GetPageCodec(options.build.page_codec));
-  }
+        num_objects_(num_objects) {}
 
   int BucketOf(Timestamp t) const {
     return static_cast<int>((t - span_.start) / options_.temporal_resolution);
@@ -252,12 +212,11 @@ class ReachGridIndex {
                     std::vector<uint32_t>* wave_stamp, uint32_t* stamp_clock,
                     BufferPool* pool, QueryScope* scope) const;
 
-  /// The one closure sweep, behind `Query`, `ReachableSet` and
-  /// `ReachableSets`: Algorithm 1 over a whole batch, one pass over the
-  /// buckets with per-source reach bits. Each tick's contact rounds run
-  /// as ParallelFor loops over the fetched objects and merge their
-  /// discoveries in sorted order, so the answers are identical at every
-  /// worker count. A `destination` other than kInvalidObject stops the
+  /// The one closure sweep, behind `Query` and `ReachableSets`:
+  /// Algorithm 1 over a whole batch, one pass over the buckets with
+  /// per-source reach bits. Each tick's contact rounds run as ParallelFor
+  /// loops over the fetched objects and merge their discoveries in sorted
+  /// order, so the answers are identical at every worker count. A `destination` other than kInvalidObject stops the
   /// sweep after the first round that reaches it, before that round's
   /// discoveries are admitted (Algorithm 1's early exit); the sets then
   /// hold the reach found so far. All traversal state lives on the stack
@@ -269,13 +228,11 @@ class ReachGridIndex {
 
   ReachGridOptions options_;
   StorageTopology topology_;
-  BufferPool pool_;
   UniformGrid2D grid_;
   TimeInterval span_;
   size_t num_objects_;
   ReachGridBuildStats build_stats_;
   std::vector<IoStats> build_io_;  // Per-shard build-phase device IO.
-  QueryStats last_stats_;
 
   // In-memory directory: per bucket, extents of non-empty cells.
   std::vector<std::unordered_map<CellId, Extent>> bucket_cells_;
@@ -295,10 +252,6 @@ class ReachGridIndex {
   // kLocatorBlockEntries entries; this skip table maps block index ->
   // extent so a probe decodes exactly one block instead of the table.
   std::vector<std::vector<Extent>> locator_blocks_;
-
-  // Convenience-path traversal workers (re-entrant callers own theirs).
-  int traversal_threads_ = 1;
-  std::unique_ptr<FrontierPool> frontier_;
 };
 
 }  // namespace streach

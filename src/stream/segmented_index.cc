@@ -121,13 +121,6 @@ class SegmentedIndex final : public ReachabilityIndex {
     return AnswerFromSet(infected, query.destination);
   }
 
-  Result<std::vector<Timestamp>> ReachableSet(ObjectId source,
-                                              TimeInterval interval) override {
-    std::vector<std::vector<Timestamp>> sets;
-    STREACH_ASSIGN_OR_RETURN(sets, ReachableSets({source}, interval));
-    return std::move(sets[0]);
-  }
-
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
       const std::vector<ObjectId>& sources, TimeInterval interval) override {
     const size_t num_objects = ingestor_->num_objects();

@@ -394,16 +394,30 @@ TEST_F(AsyncIoTest, DeltaVarintReadsStrictlyFewerPages) {
 }
 
 TEST_F(AsyncIoTest, SessionsInheritQueueDepth) {
-  auto backend = MakeReachGridBackend(StackFor(4).grid);
-  backend->SetIoQueueDepth(8);
-  auto session = backend->NewSession();
+  // NewSession copies the IO depth onto the minted session of every disk
+  // backend: at depth 1 each read goes out alone; at depth 8 reads
+  // overlap in the minted session's queues (every depth reads through
+  // the batch path).
   const std::vector<ReachQuery> queries = MakeQueries(20, 75);
-  for (const ReachQuery& q : queries) ASSERT_TRUE(session->Query(q).ok());
-  IoStats total;
-  for (const IoStats& shard : session->shard_io_stats()) total += shard;
-  // Reads overlapped in the minted session's queues — proof it inherited
-  // depth > 1 (every depth reads through the batch path).
-  EXPECT_GT(total.mean_inflight(), 1.0);
+  for (const int depth : {1, 8}) {
+    for (auto& backend : DiskBackends(StackFor(4))) {
+      const std::string label =
+          backend->DescribeIndex() + " depth=" + std::to_string(depth);
+      backend->SetIoQueueDepth(depth);
+      auto session = backend->NewSession();
+      for (const ReachQuery& q : queries) {
+        ASSERT_TRUE(session->Query(q).ok()) << label;
+      }
+      IoStats total;
+      for (const IoStats& shard : session->shard_io_stats()) total += shard;
+      ASSERT_GT(total.batched_reads, 0u) << label;
+      if (depth == 1) {
+        EXPECT_EQ(total.mean_inflight(), 1.0) << label;
+      } else {
+        EXPECT_GT(total.mean_inflight(), 1.0) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "baselines/grail.h"
 #include "baselines/spj.h"
+#include "engine/backends.h"
 #include "generators/random_waypoint.h"
 #include "generators/workload.h"
 #include "join/contact_extractor.h"
@@ -87,11 +89,12 @@ TEST(GrailTest, MemoryQueriesMatchBruteForce) {
   ASSERT_TRUE(dn.ok());
   auto grail = GrailIndex::Build(*dn, GrailOptions{});
   ASSERT_TRUE(grail.ok());
+  auto session = MakeGrailBackend(std::move(*grail), GrailMode::kMemory);
   for (const ReachQuery& q : f.queries) {
     const bool expected =
         BruteForceReach(f.network, q.source, q.destination, q.interval)
             .reachable;
-    auto answer = (*grail)->QueryMemory(q);
+    auto answer = session->Query(q);
     ASSERT_TRUE(answer.ok());
     EXPECT_EQ(answer->reachable, expected) << q.ToString();
   }
@@ -103,14 +106,17 @@ TEST(GrailTest, DiskQueriesMatchMemoryAndCountIo) {
   ASSERT_TRUE(dn.ok());
   auto grail = GrailIndex::Build(*dn, GrailOptions{});
   ASSERT_TRUE(grail.ok());
+  const std::shared_ptr<const GrailIndex> shared = std::move(*grail);
+  auto memory = MakeGrailBackend(shared, GrailMode::kMemory);
+  auto disk_session = MakeGrailBackend(shared, GrailMode::kDisk);
   bool any_io = false;
   for (const ReachQuery& q : f.queries) {
-    auto mem = (*grail)->QueryMemory(q);
-    (*grail)->ClearCache();
-    auto disk = (*grail)->QueryDisk(q);
+    auto mem = memory->Query(q);
+    disk_session->ClearCache();
+    auto disk = disk_session->Query(q);
     ASSERT_TRUE(mem.ok() && disk.ok());
     EXPECT_EQ(disk->reachable, mem->reachable) << q.ToString();
-    any_io |= (*grail)->last_query_stats().io_cost > 0;
+    any_io |= disk_session->last_query_stats().io_cost > 0;
   }
   EXPECT_TRUE(any_io);
 }
@@ -125,11 +131,12 @@ TEST(GrailTest, FewerLabelingsStillExact) {
     options.num_labelings = d;
     auto grail = GrailIndex::Build(*dn, options);
     ASSERT_TRUE(grail.ok());
+    auto session = MakeGrailBackend(std::move(*grail), GrailMode::kMemory);
     for (const ReachQuery& q : f.queries) {
       const bool expected =
           BruteForceReach(f.network, q.source, q.destination, q.interval)
               .reachable;
-      EXPECT_EQ((*grail)->QueryMemory(q)->reachable, expected)
+      EXPECT_EQ(session->Query(q)->reachable, expected)
           << "d=" << d << " " << q.ToString();
     }
   }
@@ -154,10 +161,11 @@ TEST(SpjTest, MatchesBruteForce) {
   options.contact_range = 30.0;
   auto spj = SpjEvaluator::Build(f.store, options);
   ASSERT_TRUE(spj.ok());
+  auto session = MakeSpjBackend(std::move(*spj));
   for (const ReachQuery& q : f.queries) {
     const ReachAnswer expected =
         BruteForceReach(f.network, q.source, q.destination, q.interval);
-    auto answer = (*spj)->Query(q);
+    auto answer = session->Query(q);
     ASSERT_TRUE(answer.ok());
     EXPECT_EQ(answer->reachable, expected.reachable) << q.ToString();
     if (expected.reachable) {
@@ -176,12 +184,13 @@ TEST(SpjTest, IoProportionalToIntervalLength) {
   options.contact_range = 20.0;
   auto spj = SpjEvaluator::Build(f.store, options);
   ASSERT_TRUE(spj.ok());
-  (*spj)->ClearCache();
-  ASSERT_TRUE((*spj)->Query({0, 1, TimeInterval(0, 99)}).ok());
-  const double io_short = (*spj)->last_query_stats().io_cost;
-  (*spj)->ClearCache();
-  ASSERT_TRUE((*spj)->Query({0, 1, TimeInterval(0, 399)}).ok());
-  const double io_long = (*spj)->last_query_stats().io_cost;
+  auto session = MakeSpjBackend(std::move(*spj));
+  session->ClearCache();
+  ASSERT_TRUE(session->Query({0, 1, TimeInterval(0, 99)}).ok());
+  const double io_short = session->last_query_stats().io_cost;
+  session->ClearCache();
+  ASSERT_TRUE(session->Query({0, 1, TimeInterval(0, 399)}).ok());
+  const double io_long = session->last_query_stats().io_cost;
   EXPECT_GT(io_long, io_short * 2);
 }
 
@@ -191,9 +200,10 @@ TEST(SpjTest, DegenerateQueries) {
   options.contact_range = 30.0;
   auto spj = SpjEvaluator::Build(f.store, options);
   ASSERT_TRUE(spj.ok());
-  EXPECT_TRUE((*spj)->Query({4, 4, TimeInterval(0, 10)})->reachable);
-  EXPECT_FALSE((*spj)->Query({0, 1, TimeInterval(50, 90)})->reachable);
-  EXPECT_FALSE((*spj)->Query({0, 1, TimeInterval(9, 2)})->reachable);
+  auto session = MakeSpjBackend(std::move(*spj));
+  EXPECT_TRUE(session->Query({4, 4, TimeInterval(0, 10)})->reachable);
+  EXPECT_FALSE(session->Query({0, 1, TimeInterval(50, 90)})->reachable);
+  EXPECT_FALSE(session->Query({0, 1, TimeInterval(9, 2)})->reachable);
 }
 
 TEST(SpjTest, RejectsBadOptions) {

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/encoding.h"
+#include "engine/backends.h"
 #include "generators/random_waypoint.h"
 #include "generators/workload.h"
 #include "join/contact_extractor.h"
@@ -51,6 +52,7 @@ TEST_P(PageSizeSweepTest, ReachGridExactAtAnyPageSize) {
   options.buffer_pool_pages = GetParam().pool_pages;
   auto index = ReachGridIndex::Build(store, options);
   ASSERT_TRUE(index.ok());
+  auto session = MakeReachGridBackend(std::move(*index));
   const ContactNetwork network(store.num_objects(), store.span(),
                                ExtractContacts(store, dt));
   WorkloadParams wl;
@@ -64,7 +66,7 @@ TEST_P(PageSizeSweepTest, ReachGridExactAtAnyPageSize) {
     const bool expected =
         BruteForceReach(network, q.source, q.destination, q.interval)
             .reachable;
-    auto got = (*index)->Query(q);
+    auto got = session->Query(q);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->reachable, expected)
         << q.ToString() << " page_size=" << GetParam().page_size;
@@ -81,6 +83,8 @@ TEST_P(PageSizeSweepTest, ReachGraphExactAtAnyPageSize) {
   options.buffer_pool_pages = GetParam().pool_pages;
   auto index = ReachGraphIndex::Build(network, options);
   ASSERT_TRUE(index.ok());
+  auto session = MakeReachGraphBackend(std::move(*index),
+                                       ReachGraphTraversal::kBmBfs);
   WorkloadParams wl;
   wl.num_queries = 60;
   wl.num_objects = store.num_objects();
@@ -92,7 +96,7 @@ TEST_P(PageSizeSweepTest, ReachGraphExactAtAnyPageSize) {
     const bool expected =
         BruteForceReach(network, q.source, q.destination, q.interval)
             .reachable;
-    auto got = (*index)->QueryBmBfs(q);
+    auto got = session->Query(q);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->reachable, expected)
         << q.ToString() << " page_size=" << GetParam().page_size;
@@ -187,7 +191,9 @@ TEST(CorruptionTest, InvalidQueriesReturnCleanStatuses) {
   auto graph = ReachGraphIndex::Build(network, ReachGraphOptions{});
   ASSERT_TRUE(graph.ok());
   // Unknown object ids get the brute-force oracle's answer, not a crash.
-  auto bad = (*graph)->QueryBmBfs({999, 1, TimeInterval(0, 10)});
+  auto graph_session =
+      MakeReachGraphBackend(std::move(*graph), ReachGraphTraversal::kBmBfs);
+  auto bad = graph_session->Query({999, 1, TimeInterval(0, 10)});
   ASSERT_TRUE(bad.ok());
   EXPECT_FALSE(bad->reachable);
 
@@ -197,7 +203,8 @@ TEST(CorruptionTest, InvalidQueriesReturnCleanStatuses) {
   grid_options.contact_range = 20.0;
   auto grid = ReachGridIndex::Build(*store, grid_options);
   ASSERT_TRUE(grid.ok());
-  auto answer = (*grid)->Query({999, 1, TimeInterval(0, 10)});
+  auto grid_session = MakeReachGridBackend(std::move(*grid));
+  auto answer = grid_session->Query({999, 1, TimeInterval(0, 10)});
   ASSERT_TRUE(answer.ok());  // Out-of-population source: not reachable.
   EXPECT_FALSE(answer->reachable);
 }

@@ -636,20 +636,40 @@ TEST_F(EngineTest, ColdCacheModeDisablesResultCache) {
 }
 
 TEST_F(EngineTest, ResultCacheFallsBackForPointQueryOnlyBackends) {
-  // SPJ cannot enumerate reachable sets; with the cache enabled it must
-  // silently fall back to plain point queries and still agree.
-  const std::vector<ReachQuery> queries = MakeQueries(40, 324);
-  auto spj = MakeSpjBackend(stack_->spj);
-  auto baseline = QueryEngine(QueryEngineOptions{}).Run(spj.get(), queries);
-  ASSERT_TRUE(baseline.ok());
+  // GRAIL answers point queries only: its ReachableSets is the
+  // interface's NotSupported default, so with the cache on the engine
+  // must silently fall back to plain point queries — no hits, no failed
+  // queries, the cache-off answers. Every query is sent twice, so a
+  // backend that did memoize would hit on every repeat. SPJ enumerates
+  // sets and is the positive control: exactly one hit per repeat.
+  std::vector<ReachQuery> queries;
+  for (const ReachQuery& q : MakeQueries(40, 324)) {
+    queries.push_back(q);
+    queries.push_back(q);
+  }
+  struct Case {
+    std::unique_ptr<ReachabilityIndex> backend;
+    uint64_t expected_hits;
+  };
+  std::vector<Case> cases;
+  cases.push_back({MakeGrailBackend(stack_->grail, GrailMode::kMemory), 0});
+  cases.push_back({MakeGrailBackend(stack_->grail, GrailMode::kDisk), 0});
+  cases.push_back({MakeSpjBackend(stack_->spj), 40});
   QueryEngineOptions options;
   options.result_cache_capacity = 64;
-  auto session = spj->NewSession();
-  auto cached = QueryEngine(options).Run(session.get(), queries);
-  ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(cached->summary.result_cache_hits, 0u);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(cached->answers[i].reachable, baseline->answers[i].reachable);
+  for (Case& c : cases) {
+    const std::string name = c.backend->DescribeIndex();
+    auto baseline =
+        QueryEngine(QueryEngineOptions{}).Run(c.backend.get(), queries);
+    ASSERT_TRUE(baseline.ok()) << name;
+    auto session = c.backend->NewSession();
+    auto cached = QueryEngine(options).Run(session.get(), queries);
+    ASSERT_TRUE(cached.ok()) << name;
+    EXPECT_EQ(cached->summary.result_cache_hits, c.expected_hits) << name;
+    EXPECT_EQ(cached->summary.failed_queries, 0u) << name;
+    EXPECT_EQ(SerializeAnswers(cached->answers),
+              SerializeAnswers(baseline->answers))
+        << name;
   }
 }
 

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/spj.h"
 #include "common/check.h"
 #include "common/encoding.h"
 #include "engine/backends.h"
@@ -329,6 +330,17 @@ std::vector<BackendVariant> BuildVariants(const Matrix& m, int num_shards,
        },
        {&graph_sp->topology()},
        {graph_sp}});
+
+  SpjOptions spj_options;
+  spj_options.contact_range = kContactRange;
+  spj_options.num_shards = num_shards;
+  spj_options.build = build;
+  auto spj = SpjEvaluator::Build(*m.store, spj_options);
+  STREACH_CHECK(spj.ok());
+  std::shared_ptr<const SpjEvaluator> spj_sp = std::move(*spj);
+  variants.push_back({"spj", [spj_sp] { return MakeSpjBackend(spj_sp); },
+                      {&spj_sp->topology()},
+                      {spj_sp}});
 
   StreamingOptions stream_options;
   stream_options.num_objects = m.store->num_objects();

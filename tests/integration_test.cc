@@ -11,6 +11,7 @@
 
 #include "baselines/grail.h"
 #include "baselines/spj.h"
+#include "engine/backends.h"
 #include "generators/datasets.h"
 #include "generators/workload.h"
 #include "join/contact_extractor.h"
@@ -23,13 +24,18 @@
 namespace streach {
 namespace {
 
+/// One session per evaluator over indexes built from the same dataset.
 struct Stack {
   Dataset dataset;
   std::unique_ptr<ContactNetwork> network;
-  std::unique_ptr<ReachGridIndex> grid;
-  std::unique_ptr<ReachGraphIndex> graph;
-  std::unique_ptr<GrailIndex> grail;
-  std::unique_ptr<SpjEvaluator> spj;
+  std::unique_ptr<ReachabilityIndex> grid;
+  std::unique_ptr<ReachabilityIndex> bm;  // ReachGraph, one per traversal.
+  std::unique_ptr<ReachabilityIndex> bb;
+  std::unique_ptr<ReachabilityIndex> eb;
+  std::unique_ptr<ReachabilityIndex> ed;
+  std::unique_ptr<ReachabilityIndex> grail_memory;
+  std::unique_ptr<ReachabilityIndex> grail_disk;
+  std::unique_ptr<ReachabilityIndex> spj;
   std::vector<ReachQuery> queries;
 };
 
@@ -37,8 +43,8 @@ Stack BuildStack(Result<Dataset> dataset_result, double grid_cell,
                  int num_queries = 80, int min_interval = 30,
                  int max_interval = 180) {
   EXPECT_TRUE(dataset_result.ok());
-  Stack s{std::move(dataset_result).ValueUnsafe(), nullptr, nullptr, nullptr,
-          nullptr, nullptr, {}};
+  Stack s;
+  s.dataset = std::move(dataset_result).ValueUnsafe();
   s.network = std::make_unique<ContactNetwork>(
       s.dataset.num_objects(), s.dataset.span(),
       ExtractContacts(s.dataset.store, s.dataset.contact_range));
@@ -49,23 +55,31 @@ Stack BuildStack(Result<Dataset> dataset_result, double grid_cell,
   grid_options.contact_range = s.dataset.contact_range;
   auto grid = ReachGridIndex::Build(s.dataset.store, grid_options);
   EXPECT_TRUE(grid.ok());
-  s.grid = std::move(grid).ValueUnsafe();
+  s.grid = MakeReachGridBackend(std::move(grid).ValueUnsafe());
 
   auto graph = ReachGraphIndex::Build(*s.network, ReachGraphOptions{});
   EXPECT_TRUE(graph.ok());
-  s.graph = std::move(graph).ValueUnsafe();
+  const std::shared_ptr<const ReachGraphIndex> shared_graph =
+      std::move(graph).ValueUnsafe();
+  s.bm = MakeReachGraphBackend(shared_graph, ReachGraphTraversal::kBmBfs);
+  s.bb = MakeReachGraphBackend(shared_graph, ReachGraphTraversal::kBBfs);
+  s.eb = MakeReachGraphBackend(shared_graph, ReachGraphTraversal::kEBfs);
+  s.ed = MakeReachGraphBackend(shared_graph, ReachGraphTraversal::kEDfs);
 
   auto dn = BuildDnGraph(*s.network);
   EXPECT_TRUE(dn.ok());
   auto grail = GrailIndex::Build(*dn, GrailOptions{});
   EXPECT_TRUE(grail.ok());
-  s.grail = std::move(grail).ValueUnsafe();
+  const std::shared_ptr<const GrailIndex> shared_grail =
+      std::move(grail).ValueUnsafe();
+  s.grail_memory = MakeGrailBackend(shared_grail, GrailMode::kMemory);
+  s.grail_disk = MakeGrailBackend(shared_grail, GrailMode::kDisk);
 
   SpjOptions spj_options;
   spj_options.contact_range = s.dataset.contact_range;
   auto spj = SpjEvaluator::Build(s.dataset.store, spj_options);
   EXPECT_TRUE(spj.ok());
-  s.spj = std::move(spj).ValueUnsafe();
+  s.spj = MakeSpjBackend(std::move(spj).ValueUnsafe());
 
   WorkloadParams wl;
   wl.num_queries = num_queries;
@@ -86,12 +100,12 @@ void ExpectAllEvaluatorsAgree(Stack& s) {
             .reachable;
     reachable += expected;
     auto grid = s.grid->Query(q);
-    auto bm = s.graph->QueryBmBfs(q);
-    auto bb = s.graph->QueryBBfs(q);
-    auto eb = s.graph->QueryEBfs(q);
-    auto ed = s.graph->QueryEDfs(q);
-    auto gm = s.grail->QueryMemory(q);
-    auto gd = s.grail->QueryDisk(q);
+    auto bm = s.bm->Query(q);
+    auto bb = s.bb->Query(q);
+    auto eb = s.eb->Query(q);
+    auto ed = s.ed->Query(q);
+    auto gm = s.grail_memory->Query(q);
+    auto gd = s.grail_disk->Query(q);
     auto spj = s.spj->Query(q);
     ASSERT_TRUE(grid.ok() && bm.ok() && bb.ok() && eb.ok() && ed.ok() &&
                 gm.ok() && gd.ok() && spj.ok());
@@ -151,12 +165,12 @@ TEST(IntegrationTest, ReachGraphBeatsDiskGrailOnIo) {
                        150, 350);
   double graph_io = 0, grail_io = 0;
   for (const ReachQuery& q : s.queries) {
-    s.graph->ClearCache();
-    ASSERT_TRUE(s.graph->QueryBmBfs(q).ok());
-    graph_io += s.graph->last_query_stats().io_cost;
-    s.grail->ClearCache();
-    ASSERT_TRUE(s.grail->QueryDisk(q).ok());
-    grail_io += s.grail->last_query_stats().io_cost;
+    s.bm->ClearCache();
+    ASSERT_TRUE(s.bm->Query(q).ok());
+    graph_io += s.bm->last_query_stats().io_cost;
+    s.grail_disk->ClearCache();
+    ASSERT_TRUE(s.grail_disk->Query(q).ok());
+    grail_io += s.grail_disk->last_query_stats().io_cost;
   }
   EXPECT_LT(graph_io, grail_io) << "graph=" << graph_io
                                 << " grail=" << grail_io;
@@ -169,12 +183,12 @@ TEST(IntegrationTest, BmBfsBeatsEDfsOnIo) {
                        150, 350);
   double bm_io = 0, ed_io = 0;
   for (const ReachQuery& q : s.queries) {
-    s.graph->ClearCache();
-    ASSERT_TRUE(s.graph->QueryBmBfs(q).ok());
-    bm_io += s.graph->last_query_stats().io_cost;
-    s.graph->ClearCache();
-    ASSERT_TRUE(s.graph->QueryEDfs(q).ok());
-    ed_io += s.graph->last_query_stats().io_cost;
+    s.bm->ClearCache();
+    ASSERT_TRUE(s.bm->Query(q).ok());
+    bm_io += s.bm->last_query_stats().io_cost;
+    s.ed->ClearCache();
+    ASSERT_TRUE(s.ed->Query(q).ok());
+    ed_io += s.ed->last_query_stats().io_cost;
   }
   EXPECT_LT(bm_io, ed_io) << "bm=" << bm_io << " edfs=" << ed_io;
 }
@@ -188,8 +202,8 @@ TEST(IntegrationTest, GraphCpuBeatsGridCpu) {
   for (const ReachQuery& q : s.queries) {
     ASSERT_TRUE(s.grid->Query(q).ok());
     grid_cpu += s.grid->last_query_stats().cpu_seconds;
-    ASSERT_TRUE(s.graph->QueryBmBfs(q).ok());
-    graph_cpu += s.graph->last_query_stats().cpu_seconds;
+    ASSERT_TRUE(s.bm->Query(q).ok());
+    graph_cpu += s.bm->last_query_stats().cpu_seconds;
   }
   EXPECT_LT(graph_cpu, grid_cpu);
 }

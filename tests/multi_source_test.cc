@@ -264,9 +264,9 @@ TEST_F(MultiSourceTest, BatchesWithMoreThan64SourcesSpanLaneChunks) {
 }
 
 TEST_F(MultiSourceTest, SingletonBatchReplaysSingleSourcePageSequence) {
-  // The one-sweep contract: at one traversal thread, ReachableSet and a
-  // one-source ReachableSets run the same sweep on every disk backend —
-  // identical answers AND identical IO profile.
+  // The one-sweep contract: ReachableSet is the interface's one-source
+  // ReachableSets, so at one traversal thread the two run the same sweep
+  // on every disk backend — identical answers AND identical IO profile.
   auto grid = MakeReachGridBackend(Grid(1, PageCodecKind::kRaw));
   auto graph = MakeReachGraphBackend(Graph(1, PageCodecKind::kRaw),
                                      ReachGraphTraversal::kBmBfs);

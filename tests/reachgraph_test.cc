@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <vector>
 
+#include "engine/backends.h"
 #include "generators/datasets.h"
 #include "generators/random_waypoint.h"
 #include "generators/workload.h"
@@ -156,6 +158,10 @@ TEST(DnBuilderTest, DnPreservesReachabilityUnderMergeToggle) {
   auto index_merged = ReachGraphIndex::BuildFromDn(std::move(*merged), options);
   auto index_plain = ReachGraphIndex::BuildFromDn(std::move(*plain), options);
   ASSERT_TRUE(index_merged.ok() && index_plain.ok());
+  auto merged_session = MakeReachGraphBackend(std::move(*index_merged),
+                                              ReachGraphTraversal::kBmBfs);
+  auto plain_session = MakeReachGraphBackend(std::move(*index_plain),
+                                             ReachGraphTraversal::kBmBfs);
   WorkloadParams wl;
   wl.num_queries = 80;
   wl.num_objects = 25;
@@ -164,8 +170,8 @@ TEST(DnBuilderTest, DnPreservesReachabilityUnderMergeToggle) {
   wl.max_interval_len = 60;
   wl.seed = 17;
   for (const ReachQuery& q : GenerateWorkload(wl)) {
-    auto a = (*index_merged)->QueryBmBfs(q);
-    auto b = (*index_plain)->QueryBmBfs(q);
+    auto a = merged_session->Query(q);
+    auto b = plain_session->Query(q);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a->reachable, b->reachable) << q.ToString();
   }
@@ -271,6 +277,11 @@ TEST_P(ReachGraphQueryTest, AllTraversalsMatchBruteForce) {
   options.partition_depth = 8;
   auto index = ReachGraphIndex::Build(net, options);
   ASSERT_TRUE(index.ok());
+  const std::shared_ptr<const ReachGraphIndex> shared = std::move(*index);
+  auto bm_session = MakeReachGraphBackend(shared, ReachGraphTraversal::kBmBfs);
+  auto bb_session = MakeReachGraphBackend(shared, ReachGraphTraversal::kBBfs);
+  auto eb_session = MakeReachGraphBackend(shared, ReachGraphTraversal::kEBfs);
+  auto ed_session = MakeReachGraphBackend(shared, ReachGraphTraversal::kEDfs);
   WorkloadParams wl;
   wl.num_queries = 150;
   wl.num_objects = 40;
@@ -283,10 +294,10 @@ TEST_P(ReachGraphQueryTest, AllTraversalsMatchBruteForce) {
     const bool expected =
         BruteForceReach(net, q.source, q.destination, q.interval).reachable;
     reachable += expected;
-    auto bm = (*index)->QueryBmBfs(q);
-    auto bb = (*index)->QueryBBfs(q);
-    auto eb = (*index)->QueryEBfs(q);
-    auto ed = (*index)->QueryEDfs(q);
+    auto bm = bm_session->Query(q);
+    auto bb = bb_session->Query(q);
+    auto eb = eb_session->Query(q);
+    auto ed = ed_session->Query(q);
     ASSERT_TRUE(bm.ok() && bb.ok() && eb.ok() && ed.ok());
     EXPECT_EQ(bm->reachable, expected) << "BM-BFS " << q.ToString();
     EXPECT_EQ(bb->reachable, expected) << "B-BFS " << q.ToString();
@@ -308,11 +319,13 @@ TEST(ReachGraphTest, Figure1Queries) {
   options.num_resolutions = 2;
   auto index = ReachGraphIndex::Build(Figure1Network(), options);
   ASSERT_TRUE(index.ok());
-  EXPECT_TRUE((*index)->QueryBmBfs({0, 3, TimeInterval(0, 1)})->reachable);
-  EXPECT_FALSE((*index)->QueryBmBfs({3, 0, TimeInterval(0, 1)})->reachable);
-  EXPECT_TRUE((*index)->QueryBmBfs({0, 1, TimeInterval(2, 3)})->reachable);
-  EXPECT_FALSE((*index)->QueryBmBfs({0, 3, TimeInterval(1, 3)})->reachable);
-  EXPECT_TRUE((*index)->QueryBmBfs({2, 0, TimeInterval(1, 3)})->reachable);
+  auto session = MakeReachGraphBackend(std::move(*index),
+                                       ReachGraphTraversal::kBmBfs);
+  EXPECT_TRUE(session->Query({0, 3, TimeInterval(0, 1)})->reachable);
+  EXPECT_FALSE(session->Query({3, 0, TimeInterval(0, 1)})->reachable);
+  EXPECT_TRUE(session->Query({0, 1, TimeInterval(2, 3)})->reachable);
+  EXPECT_FALSE(session->Query({0, 3, TimeInterval(1, 3)})->reachable);
+  EXPECT_TRUE(session->Query({2, 0, TimeInterval(1, 3)})->reachable);
 }
 
 TEST(ReachGraphTest, VnDatasetAgreement) {
@@ -324,6 +337,8 @@ TEST(ReachGraphTest, VnDatasetAgreement) {
   ReachGraphOptions options;
   auto index = ReachGraphIndex::Build(net, options);
   ASSERT_TRUE(index.ok());
+  auto session = MakeReachGraphBackend(std::move(*index),
+                                       ReachGraphTraversal::kBmBfs);
   WorkloadParams wl;
   wl.num_queries = 80;
   wl.num_objects = dataset->num_objects();
@@ -334,7 +349,7 @@ TEST(ReachGraphTest, VnDatasetAgreement) {
   for (const ReachQuery& q : GenerateWorkload(wl)) {
     const bool expected =
         BruteForceReach(net, q.source, q.destination, q.interval).reachable;
-    auto bm = (*index)->QueryBmBfs(q);
+    auto bm = session->Query(q);
     ASSERT_TRUE(bm.ok());
     EXPECT_EQ(bm->reachable, expected) << q.ToString();
   }
@@ -355,10 +370,12 @@ TEST(ReachGraphTest, PartitionDepthSweepIsExact) {
     options.partition_depth = dp;
     auto index = ReachGraphIndex::Build(net, options);
     ASSERT_TRUE(index.ok());
+    auto session = MakeReachGraphBackend(std::move(*index),
+                                         ReachGraphTraversal::kBmBfs);
     for (const ReachQuery& q : queries) {
       const bool expected =
           BruteForceReach(net, q.source, q.destination, q.interval).reachable;
-      EXPECT_EQ((*index)->QueryBmBfs(q)->reachable, expected)
+      EXPECT_EQ(session->Query(q)->reachable, expected)
           << "dp=" << dp << " " << q.ToString();
     }
   }
@@ -368,11 +385,13 @@ TEST(ReachGraphTest, SelfAndDegenerateQueries) {
   const ContactNetwork net = Figure1Network();
   auto index = ReachGraphIndex::Build(net, ReachGraphOptions{});
   ASSERT_TRUE(index.ok());
-  EXPECT_TRUE((*index)->QueryBmBfs({2, 2, TimeInterval(0, 3)})->reachable);
-  EXPECT_FALSE((*index)->QueryBmBfs({0, 1, TimeInterval(9, 5)})->reachable);
-  EXPECT_FALSE((*index)->QueryBmBfs({0, 1, TimeInterval(50, 60)})->reachable);
+  auto session = MakeReachGraphBackend(std::move(*index),
+                                       ReachGraphTraversal::kBmBfs);
+  EXPECT_TRUE(session->Query({2, 2, TimeInterval(0, 3)})->reachable);
+  EXPECT_FALSE(session->Query({0, 1, TimeInterval(9, 5)})->reachable);
+  EXPECT_FALSE(session->Query({0, 1, TimeInterval(50, 60)})->reachable);
   // Clamping.
-  EXPECT_TRUE((*index)->QueryBmBfs({0, 3, TimeInterval(-5, 1)})->reachable);
+  EXPECT_TRUE(session->Query({0, 3, TimeInterval(-5, 1)})->reachable);
 }
 
 TEST(ReachGraphTest, BuildStatsAndPartitions) {
@@ -420,11 +439,13 @@ TEST(ReachGraphTest, PartitionDepthTradeoffShape) {
     options.partition_depth = dp;
     auto index = ReachGraphIndex::Build(net, options);
     EXPECT_TRUE(index.ok());
+    auto session = MakeReachGraphBackend(std::move(*index),
+                                         ReachGraphTraversal::kBmBfs);
     double io = 0;
     for (const ReachQuery& q : queries) {
-      (*index)->ClearCache();
-      EXPECT_TRUE((*index)->QueryBmBfs(q).ok());
-      io += (*index)->last_query_stats().io_cost;
+      session->ClearCache();
+      EXPECT_TRUE(session->Query(q).ok());
+      io += session->last_query_stats().io_cost;
     }
     return io / queries.size();
   };
@@ -439,9 +460,11 @@ TEST(ReachGraphTest, QueryStatsTrackIo) {
   const ContactNetwork net = RandomRwpNetwork(127, 40, 160);
   auto index = ReachGraphIndex::Build(net, ReachGraphOptions{});
   ASSERT_TRUE(index.ok());
-  (*index)->ClearCache();
-  ASSERT_TRUE((*index)->QueryBmBfs({0, 20, TimeInterval(0, 150)}).ok());
-  const QueryStats& stats = (*index)->last_query_stats();
+  auto session = MakeReachGraphBackend(std::move(*index),
+                                       ReachGraphTraversal::kBmBfs);
+  session->ClearCache();
+  ASSERT_TRUE(session->Query({0, 20, TimeInterval(0, 150)}).ok());
+  const QueryStats& stats = session->last_query_stats();
   EXPECT_GT(stats.io_cost, 0.0);
   EXPECT_GT(stats.pages_fetched, 0u);
 }

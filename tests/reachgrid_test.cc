@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "engine/backends.h"
 #include "generators/datasets.h"
 #include "generators/random_waypoint.h"
 #include "generators/workload.h"
@@ -45,6 +46,7 @@ TEST_P(ReachGridResolutionTest, MatchesBruteForceOnRwp) {
   options.contact_range = dt;
   auto index = ReachGridIndex::Build(*store, options);
   ASSERT_TRUE(index.ok());
+  auto session = MakeReachGridBackend(std::move(*index));
 
   const ContactNetwork network(store->num_objects(), store->span(),
                                ExtractContacts(*store, dt));
@@ -59,7 +61,7 @@ TEST_P(ReachGridResolutionTest, MatchesBruteForceOnRwp) {
   for (const ReachQuery& q : GenerateWorkload(wl)) {
     const ReachAnswer expected =
         BruteForceReach(network, q.source, q.destination, q.interval);
-    auto actual = (*index)->Query(q);
+    auto actual = session->Query(q);
     ASSERT_TRUE(actual.ok());
     EXPECT_EQ(actual->reachable, expected.reachable) << q.ToString();
     if (expected.reachable) {
@@ -91,6 +93,7 @@ TEST(ReachGridTest, MatchesBruteForceOnVn) {
   options.contact_range = dataset->contact_range;
   auto index = ReachGridIndex::Build(dataset->store, options);
   ASSERT_TRUE(index.ok());
+  auto session = MakeReachGridBackend(std::move(*index));
   const ContactNetwork network(
       dataset->num_objects(), dataset->span(),
       ExtractContacts(dataset->store, dataset->contact_range));
@@ -104,7 +107,7 @@ TEST(ReachGridTest, MatchesBruteForceOnVn) {
   for (const ReachQuery& q : GenerateWorkload(wl)) {
     const ReachAnswer expected =
         BruteForceReach(network, q.source, q.destination, q.interval);
-    auto actual = (*index)->Query(q);
+    auto actual = session->Query(q);
     ASSERT_TRUE(actual.ok());
     EXPECT_EQ(actual->reachable, expected.reachable) << q.ToString();
   }
@@ -122,22 +125,23 @@ TEST(ReachGridTest, SelfAndDegenerateQueries) {
   options.contact_range = 20;
   auto index = ReachGridIndex::Build(*store, options);
   ASSERT_TRUE(index.ok());
+  auto session = MakeReachGridBackend(std::move(*index));
 
   // Self query.
-  auto self = (*index)->Query({3, 3, TimeInterval(5, 15)});
+  auto self = session->Query({3, 3, TimeInterval(5, 15)});
   ASSERT_TRUE(self.ok());
   EXPECT_TRUE(self->reachable);
   EXPECT_EQ(self->arrival_time, 5);
   // Interval outside the span.
-  auto outside = (*index)->Query({0, 1, TimeInterval(100, 200)});
+  auto outside = session->Query({0, 1, TimeInterval(100, 200)});
   ASSERT_TRUE(outside.ok());
   EXPECT_FALSE(outside->reachable);
   // Empty interval.
-  auto empty = (*index)->Query({0, 1, TimeInterval(10, 5)});
+  auto empty = session->Query({0, 1, TimeInterval(10, 5)});
   ASSERT_TRUE(empty.ok());
   EXPECT_FALSE(empty->reachable);
   // Interval partially overlapping the span is clamped.
-  auto clamped = (*index)->Query({2, 2, TimeInterval(-10, 3)});
+  auto clamped = session->Query({2, 2, TimeInterval(-10, 3)});
   ASSERT_TRUE(clamped.ok());
   EXPECT_TRUE(clamped->reachable);
   EXPECT_EQ(clamped->arrival_time, 0);
@@ -158,6 +162,7 @@ TEST(ReachGridTest, SingleTickInterval) {
   options.contact_range = dt;
   auto index = ReachGridIndex::Build(*store, options);
   ASSERT_TRUE(index.ok());
+  auto session = MakeReachGridBackend(std::move(*index));
   const ContactNetwork network(store->num_objects(), store->span(),
                                ExtractContacts(*store, dt));
   for (Timestamp t = 0; t < 40; t += 7) {
@@ -165,7 +170,7 @@ TEST(ReachGridTest, SingleTickInterval) {
       for (ObjectId b = 1; b < 30; b += 7) {
         if (a == b) continue;
         const ReachQuery q{a, b, TimeInterval(t, t)};
-        auto actual = (*index)->Query(q);
+        auto actual = session->Query(q);
         ASSERT_TRUE(actual.ok());
         EXPECT_EQ(actual->reachable,
                   BruteForceReach(network, a, b, q.interval).reachable)
@@ -190,11 +195,12 @@ TEST(ReachGridTest, ReachableSetMatchesBruteForceClosure) {
   options.contact_range = dt;
   auto index = ReachGridIndex::Build(*store, options);
   ASSERT_TRUE(index.ok());
+  auto session = MakeReachGridBackend(std::move(*index));
   const ContactNetwork network(store->num_objects(), store->span(),
                                ExtractContacts(*store, dt));
   const TimeInterval interval(10, 80);
   for (ObjectId src = 0; src < 35; src += 6) {
-    auto got = (*index)->ReachableSet(src, interval);
+    auto got = session->ReachableSet(src, interval);
     ASSERT_TRUE(got.ok());
     const auto expected = BruteForceClosure(network, src, interval);
     EXPECT_EQ(*got, expected) << "src=" << src;
@@ -218,6 +224,7 @@ TEST(ReachGridTest, EarlyTerminationReadsLessThanFullInterval) {
   options.contact_range = dt;
   auto index = ReachGridIndex::Build(*store, options);
   ASSERT_TRUE(index.ok());
+  auto session = MakeReachGridBackend(std::move(*index));
   const ContactNetwork network(store->num_objects(), store->span(),
                                ExtractContacts(*store, dt));
   // Find a pair reachable within the first 40 ticks.
@@ -234,17 +241,17 @@ TEST(ReachGridTest, EarlyTerminationReadsLessThanFullInterval) {
   }
   ASSERT_NE(src, kInvalidObject) << "dataset too sparse for the test";
 
-  (*index)->ClearCache();
-  auto short_q = (*index)->Query({src, dst, TimeInterval(0, 49)});
+  session->ClearCache();
+  auto short_q = session->Query({src, dst, TimeInterval(0, 49)});
   ASSERT_TRUE(short_q.ok());
   ASSERT_TRUE(short_q->reachable);
-  const double io_short = (*index)->last_query_stats().io_cost;
+  const double io_short = session->last_query_stats().io_cost;
 
-  (*index)->ClearCache();
-  auto long_q = (*index)->Query({src, dst, TimeInterval(0, 399)});
+  session->ClearCache();
+  auto long_q = session->Query({src, dst, TimeInterval(0, 399)});
   ASSERT_TRUE(long_q.ok());
   ASSERT_TRUE(long_q->reachable);
-  const double io_long = (*index)->last_query_stats().io_cost;
+  const double io_long = session->last_query_stats().io_cost;
   EXPECT_EQ(long_q->arrival_time, short_q->arrival_time);
 
   // The 8x longer interval must not cost anywhere near 8x the IO.
@@ -302,16 +309,17 @@ TEST(ReachGridTest, QueryStatsTrackIo) {
   options.contact_range = 30;
   auto index = ReachGridIndex::Build(*store, options);
   ASSERT_TRUE(index.ok());
-  (*index)->ClearCache();
-  ASSERT_TRUE((*index)->Query({0, 1, TimeInterval(0, 99)}).ok());
-  const QueryStats& stats = (*index)->last_query_stats();
+  auto session = MakeReachGridBackend(std::move(*index));
+  session->ClearCache();
+  ASSERT_TRUE(session->Query({0, 1, TimeInterval(0, 99)}).ok());
+  const QueryStats& stats = session->last_query_stats();
   EXPECT_GT(stats.io_cost, 0.0);
   EXPECT_GT(stats.pages_fetched, 0u);
   EXPECT_GE(stats.cpu_seconds, 0.0);
   // A repeated warm query costs less IO than the cold one.
   const double cold = stats.io_cost;
-  ASSERT_TRUE((*index)->Query({0, 1, TimeInterval(0, 99)}).ok());
-  EXPECT_LE((*index)->last_query_stats().io_cost, cold);
+  ASSERT_TRUE(session->Query({0, 1, TimeInterval(0, 99)}).ok());
+  EXPECT_LE(session->last_query_stats().io_cost, cold);
 }
 
 }  // namespace
