@@ -30,10 +30,11 @@ struct QueryEngineOptions {
   bool cold_cache = false;
 
   /// IO submission-queue depth per storage shard, applied to every worker
-  /// session before the run (`ReachabilityIndex::SetIoQueueDepth`). The
-  /// backends batch each traversal step's page needs at every depth. At
-  /// 1 (default) each shard's device services one read at a time in
-  /// request order — the paper's single-outstanding-request cost model.
+  /// session before the run (`ReachabilityIndex::SetIoQueueDepth`) and
+  /// left on the caller's session afterwards. The backends batch each
+  /// traversal step's page needs at every depth. At 1 (default) each
+  /// shard's device services one read at a time in request order — the
+  /// paper's single-outstanding-request cost model.
   /// At N > 1 the simulated per-shard devices keep up to N reads in
   /// flight, reordering service seek-aware — answers are identical, the
   /// IO cost profile (and `WorkloadSummary::mean_inflight_requests()`)
@@ -52,11 +53,11 @@ struct QueryEngineOptions {
   PageCodecKind page_codec = PageCodecKind::kRaw;
 
   /// Worker threads each session's closure sweeps may use for intra-query
-  /// frontier expansion (`ReachabilityIndex::SetTraversalThreads`),
-  /// orthogonal to `num_threads` (inter-query parallelism). 1 — the
-  /// default — keeps every sweep on its session's thread; backends
-  /// without a parallel sweep ignore it. Answers never depend on the
-  /// setting.
+  /// frontier expansion (`ReachabilityIndex::SetTraversalThreads`; left
+  /// on the caller's session after the run), orthogonal to `num_threads`
+  /// (inter-query parallelism). 1 — the default — keeps every sweep on
+  /// its session's thread; backends without a parallel sweep ignore it.
+  /// Answers never depend on the setting.
   int traversal_threads = 1;
 
   /// Sources per `ReachableSets` batch in `RunClosures`: consecutive
@@ -69,19 +70,21 @@ struct QueryEngineOptions {
 
   /// Bounded retry budget for transient (`Unavailable`) read failures,
   /// applied to every worker session before the run
-  /// (`ReachabilityIndex::SetMaxReadRetries`). A transiently failing
-  /// page read is reissued up to this many times before the failure
-  /// surfaces as that query's status. 0 — the default — surfaces the
-  /// first failure; fault-free runs never retry either way. Answers
-  /// never depend on the budget, only whether faults are masked.
+  /// (`ReachabilityIndex::SetMaxReadRetries`) and left on the caller's
+  /// session afterwards. A transiently failing page read is reissued up
+  /// to this many times before the failure surfaces as that query's
+  /// status. 0 — the default — surfaces the first failure; fault-free
+  /// runs never retry either way. Answers never depend on the budget,
+  /// only whether faults are masked.
   int max_read_retries = 0;
 
   /// Opts every worker session into degraded serving
-  /// (`ReachabilityIndex::SetDegradedServing`): queries over an index
-  /// with quarantined (unreadable) parts skip them and answer from the
-  /// rest, flagged per query via `QueryStats::degraded`, instead of
-  /// failing with `Corruption`. Off by default: a damaged index fails
-  /// loudly rather than silently under-answering.
+  /// (`ReachabilityIndex::SetDegradedServing`; the caller's session keeps
+  /// the setting after the run): queries over an index with quarantined
+  /// (unreadable) parts skip them and answer from the rest, flagged per
+  /// query via `QueryStats::degraded`, instead of failing with
+  /// `Corruption`. Off by default: a damaged index fails loudly rather
+  /// than silently under-answering.
   bool degraded_serving = false;
 
   /// Capacity (entries) of the engine's result cache memoizing
@@ -249,7 +252,10 @@ struct ClosureWorkloadReport {
 /// Concurrency model: the backend's immutable structure (simulated disk
 /// pages, in-memory directories) is shared read-only; every worker thread
 /// owns a private session — buffer pool, IO cursor, stats slot — created
-/// with `NewSession()` (worker 0 reuses the caller's). Threads claim
+/// with `NewSession()` (worker 0 reuses the caller's). Each run applies
+/// `io_queue_depth`, `traversal_threads`, `max_read_retries` and
+/// `degraded_serving` to every worker session and never restores them,
+/// so the caller's session keeps the last run's settings. Threads claim
 /// queries (or closure batches) from a shared atomic counter, and results
 /// land in pre-sized slots, so no locks are held on the query path and
 /// answers are byte-identical to a sequential run. All three entry points

@@ -7,7 +7,6 @@
 #include <queue>
 #include <set>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -45,58 +44,57 @@ struct QuarantineRegistry {
   }
 };
 
-/// One unit of the cross-segment closure: the contacts a single segment
-/// (sealed or head) contributes to the query interval, with an
-/// object -> contact-index adjacency for the sweep.
-struct SweepUnit {
-  uint64_t ordinal = 0;  // Seal id; the head sorts after every seal.
-  TimeInterval cover;
-  std::vector<Contact> contacts;
-  std::unordered_map<ObjectId, std::vector<uint32_t>> adjacency;
-};
-
-void BuildAdjacency(SweepUnit* unit) {
-  for (uint32_t e = 0; e < unit->contacts.size(); ++e) {
-    const Contact& c = unit->contacts[e];
-    unit->adjacency[c.a].push_back(e);
-    unit->adjacency[c.b].push_back(e);
-  }
-}
-
-/// One temporal-Dijkstra pass over a unit, clamped to `w`. `times` is
-/// the global infection front (kInvalidTime = uninfected); the pass
-/// relaxes it in place and reports whether anything improved. Equal
-/// arrival times chain within the pass, so a whole same-tick contact
+/// Earliest-arrival closures over one window's contacts, every contact
+/// clamped to `w`: builds one object -> contact adjacency, then runs one
+/// temporal Dijkstra per in-range source, seeded at `w.start`. `sets[i]`
+/// arrives sized to the population and all kInvalidTime (unreached).
+/// Equal arrival times chain within a sweep, so a whole same-tick contact
 /// component infects together — the brute-force oracle's per-tick
-/// union-find semantics (§3.2).
-bool SweepOnce(const SweepUnit& unit, TimeInterval w,
-               std::vector<Timestamp>* times) {
+/// union-find semantics (§3.2); otherwise an item only moves forward in
+/// time, so one sweep over the window is exact however its contacts were
+/// cut into segments.
+void SweepClosures(const std::vector<Contact>& contacts, TimeInterval w,
+                   size_t num_objects, const std::vector<ObjectId>& sources,
+                   std::vector<std::vector<Timestamp>>* sets) {
+  // Object o's contacts are incident[offsets[o] .. offsets[o + 1]).
+  std::vector<size_t> offsets(num_objects + 1, 0);
+  for (const Contact& c : contacts) {
+    ++offsets[c.a + 1];
+    ++offsets[c.b + 1];
+  }
+  for (size_t o = 0; o < num_objects; ++o) offsets[o + 1] += offsets[o];
+  std::vector<uint32_t> incident(offsets.back());
+  std::vector<size_t> fill(offsets.begin(), offsets.end() - 1);
+  for (uint32_t e = 0; e < contacts.size(); ++e) {
+    incident[fill[contacts[e].a]++] = e;
+    incident[fill[contacts[e].b]++] = e;
+  }
+
   using Item = std::pair<Timestamp, ObjectId>;
   std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-  for (const auto& [object, edges] : unit.adjacency) {
-    const Timestamp t = (*times)[object];
-    if (t != kInvalidTime) heap.push({t, object});
-  }
-  bool improved = false;
-  while (!heap.empty()) {
-    const auto [t, object] = heap.top();
-    heap.pop();
-    if (t != (*times)[object]) continue;  // Superseded by a better time.
-    for (const uint32_t e : unit.adjacency.at(object)) {
-      const Contact& c = unit.contacts[e];
-      const Timestamp clamped_start = std::max(c.validity.start, w.start);
-      const Timestamp clamped_end = std::min(c.validity.end, w.end);
-      if (clamped_start > clamped_end || t > clamped_end) continue;
-      const Timestamp arrival = std::max(t, clamped_start);
-      Timestamp& partner = (*times)[c.Other(object)];
-      if (partner == kInvalidTime || arrival < partner) {
-        partner = arrival;
-        improved = true;
-        heap.push({arrival, c.Other(object)});
+  for (size_t i = 0; i < sources.size(); ++i) {
+    if (sources[i] >= num_objects) continue;
+    std::vector<Timestamp>& times = (*sets)[i];
+    times[sources[i]] = w.start;
+    heap.push({w.start, sources[i]});
+    while (!heap.empty()) {
+      const auto [t, object] = heap.top();
+      heap.pop();
+      if (t != times[object]) continue;  // Superseded by a better time.
+      for (size_t k = offsets[object]; k < offsets[object + 1]; ++k) {
+        const Contact& c = contacts[incident[k]];
+        const Timestamp clamped_start = std::max(c.validity.start, w.start);
+        const Timestamp clamped_end = std::min(c.validity.end, w.end);
+        if (clamped_start > clamped_end || t > clamped_end) continue;
+        const Timestamp arrival = std::max(t, clamped_start);
+        Timestamp& partner = times[c.Other(object)];
+        if (partner == kInvalidTime || arrival < partner) {
+          partner = arrival;
+          heap.push({arrival, c.Other(object)});
+        }
       }
     }
   }
-  return improved;
 }
 
 /// \brief The `ReachabilityIndex` session over a live ingestor (see
@@ -129,28 +127,9 @@ class SegmentedIndex final : public ReachabilityIndex {
         sources.size(), std::vector<Timestamp>(num_objects, kInvalidTime));
     STREACH_RETURN_NOT_OK(Accounted([&]() -> Status {
       if (w.empty()) return Status::OK();
-      std::vector<SweepUnit> units;
-      STREACH_RETURN_NOT_OK(LoadUnits(w, &units, &stats_.degraded));
-      for (const SweepUnit& unit : units) {
-        stats_.items_visited += unit.contacts.size();
-      }
-      for (size_t i = 0; i < sources.size(); ++i) {
-        if (sources[i] >= num_objects) continue;
-        std::vector<Timestamp>& times = sets[i];
-        times[sources[i]] = w.start;
-        // Bounded fixpoint: sweep the units (ascending cover, head last)
-        // until no infection time improves. A run crossing a seal
-        // boundary lives in the later unit, so infection flows backward
-        // across the cut on the next round; times only decrease over a
-        // finite lattice, so this terminates.
-        bool changed = true;
-        while (changed) {
-          changed = false;
-          for (const SweepUnit& unit : units) {
-            changed |= SweepOnce(unit, w, &times);
-          }
-        }
-      }
+      std::vector<Contact> contacts;
+      STREACH_RETURN_NOT_OK(LoadContacts(w, &contacts));
+      SweepClosures(contacts, w, num_objects, sources, &sets);
       return Status::OK();
     }));
     return sets;
@@ -164,25 +143,17 @@ class SegmentedIndex final : public ReachabilityIndex {
     std::vector<ReachProfileEntry> profile(num_objects);
     STREACH_RETURN_NOT_OK(Accounted([&]() -> Status {
       if (w.empty() || source >= num_objects) return Status::OK();
-      std::vector<SweepUnit> units;
-      STREACH_RETURN_NOT_OK(LoadUnits(w, &units, &stats_.degraded));
-      // The transfer-level recursion needs the per-tick snapshot
-      // components of the WHOLE stream — a same-tick chain may cross
-      // units (conduit in one segment, carrier in another), so per-unit
-      // relaxation cannot see it. Materialize every unit's contacts into
-      // one per-tick pair table, then run the shared kernel; the table is
-      // independent of the seal schedule, which is what keeps streaming
-      // answers byte-identical to a one-shot batch build.
+      std::vector<Contact> contacts;
+      STREACH_RETURN_NOT_OK(LoadContacts(w, &contacts));
+      // The transfer-level recursion needs the window's per-tick snapshot
+      // components, so spread its contacts into one per-tick pair table
+      // and run the shared kernel.
       std::vector<std::vector<std::pair<ObjectId, ObjectId>>> tick_pairs(
           static_cast<size_t>(w.length()));
-      for (const SweepUnit& unit : units) {
-        stats_.items_visited += unit.contacts.size();
-        for (const Contact& c : unit.contacts) {
-          const TimeInterval v = c.validity.Intersect(w);
-          for (Timestamp t = v.start; t <= v.end; ++t) {
-            tick_pairs[static_cast<size_t>(t - w.start)].emplace_back(c.a,
-                                                                      c.b);
-          }
+      for (const Contact& c : contacts) {
+        const TimeInterval v = c.validity.Intersect(w);
+        for (Timestamp t = v.start; t <= v.end; ++t) {
+          tick_pairs[static_cast<size_t>(t - w.start)].emplace_back(c.a, c.b);
         }
       }
       profile = ComputeHopProfile(
@@ -255,55 +226,33 @@ class SegmentedIndex final : public ReachabilityIndex {
   }
 
  private:
-  /// Runs `body` as one query's accounting scope: resets `stats_` (which
-  /// `body` may fill with items visited and the degraded flag), then
-  /// folds the IO, page misses and pool hits this query caused across
-  /// the per-segment pools into it, plus the wall time. Pools can be
-  /// created mid-query (first touch of a segment), so the existing
-  /// pools' counters are snapshotted first and a pool absent from the
-  /// snapshot contributes its full totals. The fold runs even when
-  /// `body` fails, so partially accounted IO stays visible.
+  /// Runs `body` as one query's accounting scope: resets `stats_`, which
+  /// `body` fills through `LoadContacts`, then adds the wall time, also
+  /// when `body` fails.
   template <typename Body>
   Status Accounted(Body&& body) {
     Stopwatch watch;
     stats_ = QueryStats{};
-    struct Before {
-      IoStats io;
-      uint64_t hits = 0;
-      uint64_t misses = 0;
-    };
-    std::unordered_map<const BufferPool*, Before> before;
-    before.reserve(pools_.size());
-    for (const auto& [id, pool] : pools_) {
-      before[pool.get()] = {pool->io_stats(), pool->hits(), pool->misses()};
-    }
     const Status status = body();
-    IoStats io;
-    for (const auto& [id, pool] : pools_) {
-      const auto it = before.find(pool.get());
-      const Before start = it != before.end() ? it->second : Before{};
-      io += pool->io_stats() - start.io;
-      stats_.pages_fetched += pool->misses() - start.misses;
-      stats_.pool_hits += pool->hits() - start.hits;
-    }
-    stats_.io_cost = io.NormalizedReadCost();
     stats_.cpu_seconds = watch.ElapsedSeconds();
     return status;
   }
 
-  /// Snapshots the ingestor and loads every overlapping unit's contacts:
-  /// sealed segments in ascending (cover start, seal id), the head last.
-  /// Segments that fail verification (`Corruption` from the read path —
-  /// a blob or page checksum mismatch) are quarantined for every session
-  /// sharing this backend; already-quarantined segments are never read.
-  /// Under degraded serving an unreadable segment is skipped and
-  /// `*degraded` is set; otherwise the query fails with the Corruption.
-  /// Non-Corruption errors (e.g. an unmasked transient fault) propagate
-  /// without quarantining — the segment's media may be fine.
-  Status LoadUnits(TimeInterval w, std::vector<SweepUnit>* units,
-                   bool* degraded) {
+  /// Snapshots the ingestor and appends the contacts overlapping `w` to
+  /// `contacts`: each readable sealed segment's, then the head's, counted
+  /// in `stats_.items_visited`. Each segment's read adds its pool's page
+  /// misses, hits and IO to `stats_`, also when the read fails, so a
+  /// failed query's partial IO stays visible; a failed read contributes
+  /// no contacts. Segments that fail verification (`Corruption` from the
+  /// read path — a blob or page checksum mismatch) are quarantined for
+  /// every session sharing this backend; already-quarantined segments are
+  /// never read. Under degraded serving an unreadable segment is skipped
+  /// and `stats_.degraded` is set; otherwise the query fails with the
+  /// Corruption. Non-Corruption errors (e.g. an unmasked transient fault)
+  /// propagate without quarantining — the segment's media may be fine.
+  Status LoadContacts(TimeInterval w, std::vector<Contact>* contacts) {
     StreamingIngestor::Snapshot snapshot = ingestor_->SnapshotFor(w);
-    units->reserve(snapshot.segments.size() + 1);
+    IoStats io;
     for (const auto& segment : snapshot.segments) {
       if (quarantine_->Contains(segment->id())) {
         if (!degraded_serving_) {
@@ -311,34 +260,30 @@ class SegmentedIndex final : public ReachabilityIndex {
               "sealed segment " + std::to_string(segment->id()) +
               " is quarantined (failed verification)");
         }
-        *degraded = true;
+        stats_.degraded = true;
         continue;
       }
-      SweepUnit unit;
-      unit.ordinal = segment->id();
-      unit.cover = segment->cover();
-      const Status status =
-          segment->LoadOverlapping(w, PoolFor(*segment), &unit.contacts);
+      BufferPool* pool = PoolFor(*segment);
+      const IoStats io_before = pool->io_stats();
+      const uint64_t misses_before = pool->misses();
+      const uint64_t hits_before = pool->hits();
+      const size_t loaded = contacts->size();
+      const Status status = segment->LoadOverlapping(w, pool, contacts);
+      io += pool->io_stats() - io_before;
+      stats_.io_cost = io.NormalizedReadCost();
+      stats_.pages_fetched += pool->misses() - misses_before;
+      stats_.pool_hits += pool->hits() - hits_before;
       if (!status.ok()) {
+        contacts->resize(loaded);
         if (!status.IsCorruption()) return status;
         quarantine_->Add(segment->id());
         if (!degraded_serving_) return status;
-        *degraded = true;
-        continue;
+        stats_.degraded = true;
       }
-      if (!unit.contacts.empty()) units->push_back(std::move(unit));
     }
-    std::sort(units->begin(), units->end(),
-              [](const SweepUnit& x, const SweepUnit& y) {
-                return std::tie(x.cover.start, x.ordinal) <
-                       std::tie(y.cover.start, y.ordinal);
-              });
-    if (!snapshot.head.empty()) {
-      SweepUnit unit;
-      unit.contacts = std::move(snapshot.head);
-      units->push_back(std::move(unit));
-    }
-    for (SweepUnit& unit : *units) BuildAdjacency(&unit);
+    contacts->insert(contacts->end(), snapshot.head.begin(),
+                     snapshot.head.end());
+    stats_.items_visited = contacts->size();
     return Status::OK();
   }
 

@@ -12,17 +12,15 @@ namespace streach {
 ///
 /// A query over `[t1, t2]` snapshots the ingestor (the sealed segments
 /// overlapping the interval, pinned, plus copies of the overlapping head
-/// runs), loads each unit's candidate blocks through a private per-segment
-/// buffer pool, and closes reachability with a bounded fixpoint of
-/// per-unit temporal-Dijkstra sweeps: units are swept in ascending cover
-/// order, and the round repeats until no infection time improves — which
-/// stitches chains whose runs cross seal boundaries in either direction.
-/// Infection times only decrease over a finite lattice, so the fixpoint
-/// terminates; because every contact run is wholly owned by exactly one
-/// unit and the sweep unions activity across all overlapping units, the
-/// answer is independent of how the stream was cut into segments — the
-/// invariant that makes any append order and seal schedule byte-identical
-/// to a one-shot batch build.
+/// runs), loads each segment's candidate blocks through a private
+/// per-segment buffer pool, and appends every overlapping contact to one
+/// list. A closure is one earliest-arrival temporal Dijkstra per source
+/// over that list: an item crosses a whole same-tick contact component
+/// within one tick and otherwise only moves forward in time, so one sweep
+/// over the window is exact. Every contact run is wholly owned by exactly
+/// one segment, so the list holds the same contacts under any append
+/// order and seal schedule, and each of them answers byte-identically to
+/// a one-shot batch build.
 ///
 /// Sessions follow the engine contract: one private set of buffer pools
 /// and one stats slot per session, `NewSession()` for concurrent workers.

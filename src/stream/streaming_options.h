@@ -32,8 +32,9 @@ namespace streach {
 /// Answers never depend on either knob: any append order within the
 /// lateness bound and any seal schedule yields byte-identical query
 /// results (the invariant `streaming_test` drives across the whole
-/// lattice), because every contact run is wholly owned by exactly one
-/// segment and the cross-segment closure is partition-agnostic.
+/// lattice): every contact run is wholly owned by exactly one segment,
+/// so a query window's contact list, which its closure sweeps once, is
+/// the same under any segmentation.
 struct StreamingOptions {
   /// Objects are densely numbered [0, num_objects); appends naming an
   /// object outside the range are rejected.

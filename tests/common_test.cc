@@ -1,5 +1,5 @@
 // Unit tests for src/common: Status/Result, TimeInterval, Rng, Encoder /
-// Decoder, logging.
+// Decoder.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/encoding.h"
-#include "common/logging.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -291,16 +290,6 @@ TEST(EncodingTest, RandomRoundTripProperty) {
     }
     EXPECT_TRUE(dec.Done());
   }
-}
-
-// ---------------------------------------------------------------- Logging
-
-TEST(LoggingTest, MinLevelFilters) {
-  const LogLevel prior = Logger::min_level();
-  Logger::SetMinLevel(LogLevel::kError);
-  EXPECT_EQ(Logger::min_level(), LogLevel::kError);
-  STREACH_LOG(kInfo) << "suppressed";  // Must not crash.
-  Logger::SetMinLevel(prior);
 }
 
 // -------------------------------------------------------------- Stopwatch

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
@@ -35,6 +36,7 @@
 #include "engine/reachability_index.h"
 #include "generators/random_waypoint.h"
 #include "join/contact_extractor.h"
+#include "network/brute_force.h"
 #include "network/contact_network.h"
 #include "reachgraph/reach_graph_index.h"
 #include "reachgrid/reach_grid_index.h"
@@ -45,6 +47,7 @@
 #include "storage/fault_injector.h"
 #include "storage/page_codec.h"
 #include "storage/storage_topology.h"
+#include "stream/sealed_segment.h"
 #include "stream/segmented_index.h"
 #include "stream/streaming_ingestor.h"
 #include "stream/streaming_options.h"
@@ -295,6 +298,8 @@ struct BackendVariant {
   std::vector<const StorageTopology*> topologies;
   // Keeps the underlying indexes/ingestors alive.
   std::vector<std::shared_ptr<const void>> pins;
+  // Streaming only: the sealed segments, in `topologies` order.
+  std::vector<std::shared_ptr<const SealedSegment>> segments;
 };
 
 std::vector<BackendVariant> BuildVariants(const Matrix& m, int num_shards,
@@ -370,10 +375,9 @@ std::vector<BackendVariant> BuildVariants(const Matrix& m, int num_shards,
   streaming.session = [ingestor_sp] {
     return MakeStreamingBackend(ingestor_sp);
   };
-  for (const auto& segment :
-       ingestor_sp->SnapshotFor(m.store->span()).segments) {
+  streaming.segments = ingestor_sp->SnapshotFor(m.store->span()).segments;
+  for (const auto& segment : streaming.segments) {
     streaming.topologies.push_back(&segment->topology());
-    streaming.pins.push_back(segment);
   }
   streaming.pins.push_back(ingestor_sp);
   STREACH_CHECK(!streaming.topologies.empty());
@@ -607,6 +611,25 @@ TEST(Quarantine, DegradedServingSkipsQuarantinedSegmentsAndFlags) {
   ASSERT_EQ(streaming.label, "streaming");
   ASSERT_GE(streaming.topologies.size(), 2u);
 
+  // Before damaging the first segment, read its contacts: a degraded
+  // answer must be exactly the oracle's over the rest of the stream.
+  const SealedSegment& damaged = *streaming.segments[0];
+  std::vector<Contact> lost;
+  ASSERT_TRUE(damaged
+                  .LoadOverlapping(m.store->span(),
+                                   damaged.NewPool(64, 1).get(), &lost)
+                  .ok());
+  ASSERT_FALSE(lost.empty());
+  std::vector<Contact> all = m.network->contacts();
+  std::sort(all.begin(), all.end());
+  std::sort(lost.begin(), lost.end());
+  std::vector<Contact> kept;
+  std::set_difference(all.begin(), all.end(), lost.begin(), lost.end(),
+                      std::back_inserter(kept));
+  ASSERT_EQ(kept.size() + lost.size(), all.size());
+  const ContactNetwork readable(m.store->num_objects(), m.store->span(),
+                                kept);
+
   FaultInjectorOptions fault_options;
   fault_options.seed = 5;
   fault_options.bitflip_rate = 1.0;
@@ -630,9 +653,16 @@ TEST(Quarantine, DegradedServingSkipsQuarantinedSegmentsAndFlags) {
     degraded += report->per_query[i].degraded;
   }
   EXPECT_EQ(degraded, report->summary.degraded_queries);
-  // Degraded output is still well-formed (correct over readable data).
-  for (const ReachAnswer& answer : report->answers) {
-    if (!answer.reachable) EXPECT_EQ(answer.arrival_time, kInvalidTime);
+  // A degraded answer is the oracle's over the readable contacts; any
+  // other query never reached the damaged segment.
+  for (size_t i = 0; i < m.queries.size(); ++i) {
+    const ReachQuery& q = m.queries[i];
+    const ContactNetwork& served =
+        report->per_query[i].degraded ? readable : *m.network;
+    EXPECT_TRUE(SameAnswer(
+        report->answers[i],
+        BruteForceReach(served, q.source, q.destination, q.interval)))
+        << "query " << i << " degraded " << report->per_query[i].degraded;
   }
 
   // Closure batches degrade the same way, counted per source: batches of
@@ -655,6 +685,11 @@ TEST(Quarantine, DegradedServingSkipsQuarantinedSegmentsAndFlags) {
   }
   EXPECT_EQ(degraded_sources, sources.size());
   EXPECT_EQ(closures->summary.degraded_queries, degraded_sources);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_EQ(closures->sets[i],
+              BruteForceClosure(readable, sources[i], m.store->span()))
+        << "source " << sources[i];
+  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "join/contact_extractor.h"
 #include "network/brute_force.h"
 #include "network/contact_network.h"
+#include "storage/io_stats.h"
 #include "stream/head_segment.h"
 #include "stream/segmented_index.h"
 #include "stream/streaming_ingestor.h"
@@ -335,8 +336,10 @@ TEST(StreamingEquivalence, FixpointFlowsBackwardAcrossSegments) {
   // The long {0,1} run [0,30] closes last, so it seals into a LATER
   // segment whose cover reaches back before the earlier segment's.
   // Infection enters it first (0 -> 1 at tick 0) and must then flow
-  // into the earlier-sealed {1,2}@[12,13] — which only a repeated
-  // sweep round (the fixpoint) can deliver.
+  // into the earlier-sealed {1,2}@[12,13]. One pass over the segments
+  // in seal order would miss that; the one sweep over the window's
+  // contact list relaxes contacts in arrival-time order, whichever
+  // segment holds them.
   StreamingOptions options;
   options.num_objects = 4;
   options.span = TimeInterval(0, 39);
@@ -361,6 +364,60 @@ TEST(StreamingEquivalence, FixpointFlowsBackwardAcrossSegments) {
   EXPECT_EQ(*set, BruteForceClosure(network, 0, options.span));
   EXPECT_EQ((*set)[1], 0);
   EXPECT_EQ((*set)[2], 12);
+}
+
+TEST(StreamingStats, PerQueryStatsSumTheSegmentsRead) {
+  // Sealed segments plus a live head. A query's stats are summed from
+  // the segments it read: every overlapping contact counted once, and
+  // exactly the IO the session's pools performed during the call.
+  std::vector<Contact> arrivals = MakeRandomContacts(7, 400);
+  SortBySinkOrder(&arrivals);
+  BuildSpec spec;
+  spec.seal_interval = 40;
+  spec.seal_remaining = false;
+  spec.label = "stats";
+  auto ingestor = BuildIngestor(arrivals, spec);
+  const TimeInterval window(30, 190);
+  const StreamingIngestor::Snapshot snapshot = ingestor->SnapshotFor(window);
+  ASSERT_GE(snapshot.segments.size(), 2u);
+  ASSERT_FALSE(snapshot.head.empty());
+  const uint64_t overlapping = static_cast<uint64_t>(
+      std::count_if(arrivals.begin(), arrivals.end(), [&](const Contact& c) {
+        return c.validity.Overlaps(window);
+      }));
+
+  auto index = MakeStreamingBackend(ingestor);
+  const auto session_io = [&index] {
+    IoStats io;
+    for (const IoStats& shard : index->shard_io_stats()) io += shard;
+    return io;
+  };
+  const std::vector<ObjectId> sources = {0, 1, 2};
+  const IoStats before = session_io();
+  ASSERT_TRUE(index->ReachableSets(sources, window).ok());
+  const QueryStats first = index->last_query_stats();
+  EXPECT_EQ(first.items_visited, overlapping);
+  EXPECT_EQ(first.io_cost, (session_io() - before).NormalizedReadCost());
+  EXPECT_GT(first.pages_fetched, 0u);
+  EXPECT_FALSE(first.degraded);
+
+  // A repeat is served from the session's pools: every page the first
+  // call requested is now a hit.
+  ASSERT_TRUE(index->ReachableSets(sources, window).ok());
+  const QueryStats repeat = index->last_query_stats();
+  EXPECT_EQ(repeat.pages_fetched, 0u);
+  EXPECT_EQ(repeat.io_cost, 0.0);
+  EXPECT_EQ(repeat.pool_hits, first.pages_fetched + first.pool_hits);
+  EXPECT_EQ(repeat.items_visited, overlapping);
+
+  // Emptied pools make the call cold again.
+  index->ClearCache();
+  ASSERT_TRUE(index->ReachableSets(sources, window).ok());
+  const QueryStats cold = index->last_query_stats();
+  EXPECT_EQ(cold.pages_fetched, first.pages_fetched);
+  EXPECT_EQ(cold.pool_hits, first.pool_hits);
+  EXPECT_EQ(cold.io_cost, first.io_cost);
+  EXPECT_EQ(cold.items_visited, overlapping);
 }
 
 TEST(StreamingIngestor, RejectsInvalidAndLateAppends) {

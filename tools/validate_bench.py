@@ -193,7 +193,7 @@ def validate_streaming(path):
         "seal_interval", "shards", "codec", "contacts",
         "ingest_seconds", "contacts_per_sec", "sealed_segments",
         "sealed_contacts", "head_contacts", "stored_bytes",
-        "matches_batch", "query_seconds"})
+        "matches_batch", "contacts_scanned", "query_seconds"})
     for row in rows:
         # The tentpole invariant: every seal schedule / shard count /
         # codec answers the workload byte-identically to the one-shot
@@ -213,6 +213,13 @@ def validate_streaming(path):
     # number of contacts.
     assert len({r["contacts"] for r in rows}) == 1, \
         f"cells disagree on the contact stream: {rows}"
+    # Every run lives in exactly one segment, so the contacts a query
+    # scans cannot depend on seal interval, shards or codec: one count
+    # across the sweep, or a load path dropped or duplicated contacts.
+    scanned = {(r["seal_interval"], r["shards"], r["codec"]):
+               r["contacts_scanned"] for r in rows}
+    assert len(set(scanned.values())) == 1, \
+        f"cells disagree on contacts scanned: {scanned}"
     # Finer seal grids mean more sealed segments (same shards/codec).
     groups = {}
     for r in rows:
