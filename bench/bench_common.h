@@ -1,12 +1,11 @@
 #ifndef STREACH_BENCH_BENCH_COMMON_H_
 #define STREACH_BENCH_BENCH_COMMON_H_
 
-// Shared helpers for the per-table/per-figure benchmark binaries.
+// Shared helpers for the bench binaries: bench_paper (the paper's
+// evaluation) and the six sweeps that write a BENCH_*.json each.
 //
-// Every binary prints (a) a header identifying the paper experiment it
-// reproduces, (b) a paper-style results table with the measured values,
-// and (c) google-benchmark timings where wall-clock matters. Datasets are
-// generated once per process and cached.
+// Every binary prints a header identifying the experiment it runs and
+// what the paper (or the design) reports, then its results.
 
 #include <algorithm>
 #include <cstdio>
@@ -47,6 +46,45 @@ inline int DefaultJoinThreads() {
   return hw == 0 ? 1 : static_cast<int>(std::min(hw, 8u));
 }
 
+/// Generates a dataset preset: `which` is "RWP", "VN" or "VNR" (whose
+/// scale is ignored).
+inline Dataset MakeDataset(const std::string& which, DatasetScale scale,
+                           Timestamp duration) {
+  Result<Dataset> dataset = which == "RWP" ? MakeRwpDataset(scale, duration)
+                            : which == "VN" ? MakeVnDataset(scale, duration)
+                                            : MakeVnrDataset(duration);
+  STREACH_CHECK(dataset.ok());
+  return std::move(dataset).ValueUnsafe();
+}
+
+/// Extracts `dataset`'s contact network on DefaultJoinThreads() workers
+/// (the contact set is identical at every thread count).
+inline std::unique_ptr<ContactNetwork> MakeNetwork(const Dataset& dataset) {
+  JoinOptions join;
+  join.threads = DefaultJoinThreads();
+  return std::make_unique<ContactNetwork>(
+      dataset.num_objects(), dataset.span(),
+      ExtractContacts(dataset.store, dataset.contact_range, join));
+}
+
+/// A §6-style workload over `dataset`: `num_queries` random
+/// (source, destination) pairs with intervals of
+/// [min_interval, max_interval] ticks.
+inline std::vector<ReachQuery> MakeWorkload(const Dataset& dataset,
+                                            int num_queries,
+                                            int min_interval = 150,
+                                            int max_interval = 350,
+                                            uint64_t seed = 4242) {
+  WorkloadParams wl;
+  wl.num_queries = num_queries;
+  wl.num_objects = dataset.num_objects();
+  wl.span = dataset.span();
+  wl.min_interval_len = min_interval;
+  wl.max_interval_len = max_interval;
+  wl.seed = seed;
+  return GenerateWorkload(wl);
+}
+
 /// A dataset with its derived contact network and a §6-style workload.
 struct BenchEnv {
   Dataset dataset;
@@ -54,36 +92,17 @@ struct BenchEnv {
   std::vector<ReachQuery> queries;
 };
 
-/// Builds (once) and returns the environment for a dataset preset.
-/// `which` is "RWP" or "VN" or "VNR"; scale ignored for VNR.
-/// `join_threads` parallelizes the contact extraction feeding the
-/// network (0 = DefaultJoinThreads()); the contact set is identical at
-/// every value.
+/// Builds and returns the environment for a dataset preset (see
+/// MakeDataset, MakeNetwork and MakeWorkload).
 inline BenchEnv MakeEnv(const std::string& which, DatasetScale scale,
                         Timestamp duration, int num_queries,
                         int min_interval = 150, int max_interval = 350,
-                        bool build_network = true, int join_threads = 0) {
-  Result<Dataset> dataset = which == "RWP" ? MakeRwpDataset(scale, duration)
-                            : which == "VN" ? MakeVnDataset(scale, duration)
-                                            : MakeVnrDataset(duration);
-  STREACH_CHECK(dataset.ok());
-  BenchEnv env{std::move(dataset).ValueUnsafe(), nullptr, {}};
-  if (build_network) {
-    JoinOptions join;
-    join.threads = join_threads > 0 ? join_threads : DefaultJoinThreads();
-    env.network = std::make_unique<ContactNetwork>(
-        env.dataset.num_objects(), env.dataset.span(),
-        ExtractContacts(env.dataset.store, env.dataset.contact_range, join));
-  }
+                        bool build_network = true) {
+  BenchEnv env{MakeDataset(which, scale, duration), nullptr, {}};
+  if (build_network) env.network = MakeNetwork(env.dataset);
   if (num_queries > 0) {
-    WorkloadParams wl;
-    wl.num_queries = num_queries;
-    wl.num_objects = env.dataset.num_objects();
-    wl.span = env.dataset.span();
-    wl.min_interval_len = min_interval;
-    wl.max_interval_len = max_interval;
-    wl.seed = 4242;
-    env.queries = GenerateWorkload(wl);
+    env.queries =
+        MakeWorkload(env.dataset, num_queries, min_interval, max_interval);
   }
   return env;
 }
@@ -105,12 +124,6 @@ inline WorkloadSummary RunThroughEngine(
   auto report = QueryEngine(options).Run(backend, queries);
   STREACH_CHECK(report.ok());
   return report->summary;
-}
-
-/// Percentage improvement of `ours` over `baseline` (positive = better).
-inline double ImprovementPct(double ours, double baseline) {
-  if (baseline <= 0) return 0.0;
-  return 100.0 * (baseline - ours) / baseline;
 }
 
 }  // namespace bench

@@ -6,10 +6,10 @@
 #include "common/encoding.h"
 #include "common/query_scope.h"
 #include "common/stopwatch.h"
+#include "join/proximity_join.h"
 #include "network/hop_profile.h"
 #include "network/union_find.h"
 #include "storage/build_pool.h"
-#include "spatial/grid2d.h"
 
 namespace streach {
 
@@ -132,8 +132,6 @@ Result<std::vector<ReachProfileEntry>> SpjEvaluator::ConstrainedProfile(
 
 Status SpjEvaluator::ScanContacts(TimeInterval w, BufferPool* pool,
                                   const TickVisitor& visit) const {
-  const double dt = options_.contact_range;
-  const double dt_sq = dt * dt;
   const int first_slab =
       static_cast<int>((w.start - span_.start) / options_.slab_ticks);
   const int last_slab =
@@ -151,72 +149,33 @@ Status SpjEvaluator::ScanContacts(TimeInterval w, BufferPool* pool,
   auto slabs = ReadExtentsBatched(pool, wanted, options_.page_size);
   if (!slabs.ok()) return slabs.status();
 
-  // Phase 2 — the per-tick self-join in memory, cell side dT.
-  std::vector<Point> positions;  // Object-major slab positions.
+  // Phase 2 — the per-tick self-join in memory: slabs are stored
+  // object-major, so each decodes into one position vector per tick, and
+  // one dT-grid joiner over the slab population's extent joins them.
+  std::vector<std::vector<Point>> tick_positions;
   for (int slab = first_slab; slab <= last_slab; ++slab) {
     const TimeInterval sw = SlabInterval(slab);
     const auto slab_ticks = static_cast<size_t>(sw.length());
     Decoder dec((*slabs)[static_cast<size_t>(slab - first_slab)]);
-    positions.assign(num_objects_ * slab_ticks, Point());
-    for (size_t i = 0; i < positions.size(); ++i) {
-      auto x = dec.GetDouble();
-      auto y = dec.GetDouble();
-      if (!x.ok() || !y.ok()) return Status::Corruption("slab positions");
-      positions[i] = Point(*x, *y);
-    }
-    auto position_of = [&](ObjectId o, Timestamp t) -> const Point& {
-      return positions[static_cast<size_t>(o) * slab_ticks +
-                       static_cast<size_t>(t - sw.start)];
-    };
-
-    // Extent of the slab's population for the per-tick grid join.
+    tick_positions.assign(slab_ticks, std::vector<Point>(num_objects_));
     Rect extent;
-    for (const Point& p : positions) extent.ExpandToInclude(p);
+    for (ObjectId o = 0; o < num_objects_; ++o) {
+      for (size_t k = 0; k < slab_ticks; ++k) {
+        auto x = dec.GetDouble();
+        auto y = dec.GetDouble();
+        if (!x.ok() || !y.ok()) return Status::Corruption("slab positions");
+        tick_positions[k][o] = Point(*x, *y);
+        extent.ExpandToInclude(tick_positions[k][o]);
+      }
+    }
     if (extent.Width() <= 0 || extent.Height() <= 0) {
       extent = extent.Padded(1.0);
     }
-    UniformGrid2D grid(extent, dt);
-    std::unordered_map<CellId, std::vector<ObjectId>> buckets;
-
+    ProximityJoiner joiner(options_.contact_range, extent);
     const TimeInterval tw = sw.Intersect(w);
     for (Timestamp t = tw.start; t <= tw.end; ++t) {
-      buckets.clear();
-      for (ObjectId o = 0; o < num_objects_; ++o) {
-        buckets[grid.CellOf(position_of(o, t))].push_back(o);
-      }
-      ContactPairs pairs;
-      for (const auto& [cell, mine] : buckets) {
-        const int row = grid.RowOfCell(cell);
-        const int col = grid.ColOfCell(cell);
-        for (size_t i = 0; i < mine.size(); ++i) {
-          for (size_t j = i + 1; j < mine.size(); ++j) {
-            if (Point::DistanceSquared(position_of(mine[i], t),
-                                       position_of(mine[j], t)) < dt_sq) {
-              pairs.emplace_back(mine[i], mine[j]);
-            }
-          }
-        }
-        static constexpr int kForward[4][2] = {
-            {0, 1}, {1, -1}, {1, 0}, {1, 1}};
-        for (const auto& d : kForward) {
-          const int nr = row + d[0];
-          const int nc = col + d[1];
-          if (nr < 0 || nr >= grid.rows() || nc < 0 || nc >= grid.cols()) {
-            continue;
-          }
-          auto other = buckets.find(grid.CellAt(nr, nc));
-          if (other == buckets.end()) continue;
-          for (ObjectId a : mine) {
-            for (ObjectId b : other->second) {
-              if (Point::DistanceSquared(position_of(a, t),
-                                         position_of(b, t)) < dt_sq) {
-                pairs.emplace_back(a, b);
-              }
-            }
-          }
-        }
-      }
-      if (!visit(t, std::move(pairs))) return Status::OK();
+      const auto k = static_cast<size_t>(t - sw.start);
+      if (!visit(t, joiner.PairsAmong(tick_positions[k]))) return Status::OK();
     }
   }
   return Status::OK();

@@ -36,18 +36,22 @@ bool CloseOrder(const Contact& x, const Contact& y) {
          std::tie(y.validity.end, y.validity.start, y.a, y.b);
 }
 
-/// The historical per-tick scan of `w`: joins tick by tick, coalesces
-/// runs through an open-run map, and calls `emit(a, b, start, end)` for
-/// every maximal run. Runs are emitted in nondecreasing `end` order (a
-/// run is emitted the moment the scan proves the pair left contact);
-/// order within one close tick is hash order — callers sort.
+/// The historical per-tick scan of `w`: gathers each tick's positions
+/// into one reused buffer, joins them, coalesces runs through an
+/// open-run map, and calls `emit(a, b, start, end)` for every maximal
+/// run. Runs are emitted in nondecreasing `end` order (a run is emitted
+/// the moment the scan proves the pair left contact); order within one
+/// close tick is hash order — callers sort.
 template <typename Emit>
-void ScanWindow(ProximityJoiner* joiner, TimeInterval w, const Emit& emit) {
+void ScanWindow(const TrajectoryStore& store, ProximityJoiner* joiner,
+                TimeInterval w, const Emit& emit) {
   std::unordered_map<uint64_t, Timestamp> open;
   std::unordered_map<uint64_t, Timestamp> still_open;
+  std::vector<Point> positions;
   for (Timestamp t = w.start; t <= w.end; ++t) {
     still_open.clear();
-    for (const auto& [a, b] : joiner->PairsAtTick(t)) {
+    store.GatherPositionsAt(t, &positions);
+    for (const auto& [a, b] : joiner->PairsAmong(positions)) {
       const uint64_t key = PairKey(a, b);
       auto it = open.find(key);
       if (it != open.end()) {
@@ -134,12 +138,13 @@ void ExtractContactsImpl(const TrajectoryStore& store, double dt,
   const int num_chunks =
       static_cast<int>((ticks + chunk_ticks - 1) / chunk_ticks);
 
+  const Rect extent = ProximityJoiner::EnvironmentExtent(store);
   if (num_chunks <= 1) {
     // The historical single-pass path; the sink (if any) is fed tick by
     // tick as runs close.
     target.flush_on_end_change = true;
-    ProximityJoiner joiner(&store, dt);
-    ScanWindow(&joiner, w,
+    ProximityJoiner joiner(dt, extent);
+    ScanWindow(store, &joiner, w,
                [&](ObjectId a, ObjectId b, Timestamp start, Timestamp end) {
                  target.Add(a, b, start, end);
                });
@@ -160,13 +165,12 @@ void ExtractContactsImpl(const TrajectoryStore& store, double dt,
   }
   std::vector<std::vector<Run>> chunk_runs(chunks.size());
   auto scan_chunk = [&](ProximityJoiner* joiner, size_t c) {
-    ScanWindow(joiner, chunks[c],
+    ScanWindow(store, joiner, chunks[c],
                [&chunk_runs, c](ObjectId a, ObjectId b, Timestamp start,
                                 Timestamp end) {
                  chunk_runs[c].push_back({a, b, start, end});
                });
   };
-  const Rect extent = ProximityJoiner::EnvironmentExtent(store);
   if (threads > 1) {
     FrontierPool pool(std::min(threads, static_cast<int>(chunks.size())));
     // One joiner (grid scratch + cell list) per worker, built lazily on
@@ -177,12 +181,12 @@ void ExtractContactsImpl(const TrajectoryStore& store, double dt,
                                         size_t end) {
       auto& joiner = joiners[static_cast<size_t>(worker)];
       if (!joiner) {
-        joiner = std::make_unique<ProximityJoiner>(&store, dt, extent, 1);
+        joiner = std::make_unique<ProximityJoiner>(dt, extent);
       }
       for (size_t c = begin; c < end; ++c) scan_chunk(joiner.get(), c);
     });
   } else {
-    ProximityJoiner joiner(&store, dt, extent, 1);
+    ProximityJoiner joiner(dt, extent);
     for (size_t c = 0; c < chunks.size(); ++c) scan_chunk(&joiner, c);
   }
 

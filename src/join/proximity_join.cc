@@ -3,18 +3,8 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "engine/parallel_frontier.h"
 
 namespace streach {
-
-namespace {
-
-/// Below this many occupied cells a parallel sweep costs more in pool
-/// wakeup than it saves; the caller runs the plain loop (which is also
-/// what keeps the 1-core throughput profile flat).
-constexpr size_t kParallelSweepMinCells = 32;
-
-}  // namespace
 
 Rect ProximityJoiner::EnvironmentExtent(const TrajectoryStore& store) {
   Rect extent = store.ComputeExtent();
@@ -27,37 +17,24 @@ Rect ProximityJoiner::EnvironmentExtent(const TrajectoryStore& store) {
   return extent;
 }
 
-ProximityJoiner::ProximityJoiner(const TrajectoryStore* store, double dt)
-    : ProximityJoiner(store, dt, EnvironmentExtent(*store), 1) {}
-
-ProximityJoiner::ProximityJoiner(const TrajectoryStore* store, double dt,
-                                 const Rect& extent, int threads)
-    : store_(store),
-      dt_(dt),
-      dt_sq_(dt * dt),
-      grid_(extent, dt),
-      threads_(threads < 1 ? 1 : threads) {
+ProximityJoiner::ProximityJoiner(double dt, const Rect& extent)
+    : dt_sq_(dt * dt), grid_(extent, dt) {
   STREACH_CHECK_GT(dt, 0.0);
   count_.assign(grid_.num_cells(), 0);
   slot_.resize(grid_.num_cells());
 }
 
-ProximityJoiner::~ProximityJoiner() = default;
-
-void ProximityJoiner::FillCellList(Timestamp t) {
-  if (filled_tick_ == t) return;
-  filled_tick_ = t;
-  const size_t n = store_->num_objects();
-  store_->GatherPositionsAt(t, &positions_);
+void ProximityJoiner::BinPositions(const std::vector<Point>& positions) {
+  const size_t n = positions.size();
   cell_of_.resize(n);
   cell_objects_.resize(n);
   for (CellId c : used_cells_) count_[c] = 0;
   used_cells_.clear();
   // Counting pass. used_cells_ keeps discovery order — no consumer
-  // depends on cell order (PairsAtTick sorts its output), and within a
+  // depends on cell order (SweepCells sorts its output), and within a
   // cell ids ascend because the scatter below runs in id order.
   for (ObjectId o = 0; o < n; ++o) {
-    const CellId c = grid_.CellOf(positions_[o]);
+    const CellId c = grid_.CellOf(positions[o]);
     cell_of_[o] = c;
     if (count_[c]++ == 0) used_cells_.push_back(c);
   }
@@ -73,13 +50,12 @@ void ProximityJoiner::FillCellList(Timestamp t) {
   }
 }
 
-void ProximityJoiner::SweepCellRange(
-    size_t begin, size_t end,
-    std::vector<std::pair<ObjectId, ObjectId>>* out) const {
+std::vector<std::pair<ObjectId, ObjectId>> ProximityJoiner::SweepCells(
+    const std::vector<Point>& positions) const {
+  std::vector<std::pair<ObjectId, ObjectId>> out;
   const int rows = grid_.rows();
   const int cols = grid_.cols();
-  for (size_t u = begin; u < end; ++u) {
-    const CellId cell = used_cells_[u];
+  for (const CellId cell : used_cells_) {
     const uint32_t me = slot_[cell];
     const uint32_t mb = me - count_[cell];
     const int row = grid_.RowOfCell(cell);
@@ -87,11 +63,11 @@ void ProximityJoiner::SweepCellRange(
     // Within-cell pairs; ids ascend within a cell, so a < b already.
     for (uint32_t i = mb; i < me; ++i) {
       const ObjectId a = cell_objects_[i];
-      const Point& pa = positions_[a];
+      const Point& pa = positions[a];
       for (uint32_t j = i + 1; j < me; ++j) {
         const ObjectId b = cell_objects_[j];
-        if (Point::DistanceSquared(pa, positions_[b]) < dt_sq_) {
-          out->emplace_back(a, b);
+        if (Point::DistanceSquared(pa, positions[b]) < dt_sq_) {
+          out.emplace_back(a, b);
         }
       }
     }
@@ -108,74 +84,24 @@ void ProximityJoiner::SweepCellRange(
       const uint32_t tb = te - count_[other];
       for (uint32_t i = mb; i < me; ++i) {
         const ObjectId a = cell_objects_[i];
-        const Point& pa = positions_[a];
+        const Point& pa = positions[a];
         for (uint32_t j = tb; j < te; ++j) {
           const ObjectId b = cell_objects_[j];
-          if (Point::DistanceSquared(pa, positions_[b]) < dt_sq_) {
-            out->emplace_back(std::min(a, b), std::max(a, b));
+          if (Point::DistanceSquared(pa, positions[b]) < dt_sq_) {
+            out.emplace_back(std::min(a, b), std::max(a, b));
           }
         }
       }
     }
   }
-}
-
-std::vector<std::pair<ObjectId, ObjectId>> ProximityJoiner::PairsAtTick(
-    Timestamp t) {
-  FillCellList(t);
-  std::vector<std::pair<ObjectId, ObjectId>> out;
-  if (threads_ <= 1 || used_cells_.size() < kParallelSweepMinCells) {
-    SweepCellRange(0, used_cells_.size(), &out);
-  } else {
-    if (!pool_) pool_ = std::make_unique<FrontierPool>(threads_);
-    // Per-worker staging vectors: no shared state during the sweep; the
-    // merge + sort below makes the result independent of the chunk
-    // partitioning.
-    std::vector<std::vector<std::pair<ObjectId, ObjectId>>> staging(
-        static_cast<size_t>(pool_->num_threads()));
-    pool_->ParallelFor(used_cells_.size(),
-                       [&](int worker, size_t begin, size_t end) {
-                         SweepCellRange(begin, end,
-                                        &staging[static_cast<size_t>(worker)]);
-                       });
-    size_t total = 0;
-    for (const auto& s : staging) total += s.size();
-    out.reserve(total);
-    for (const auto& s : staging) out.insert(out.end(), s.begin(), s.end());
-  }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-std::vector<std::pair<ObjectId, ObjectId>>
-ProximityJoiner::PairsAtTickInvolving(Timestamp t,
-                                      const std::vector<ObjectId>& probes) {
-  FillCellList(t);
-  std::vector<std::pair<ObjectId, ObjectId>> out;
-  for (ObjectId a : probes) {
-    STREACH_CHECK_LT(a, positions_.size());
-    const Point& pa = positions_[a];
-    for (CellId nb : grid_.Neighborhood(cell_of_[a], 1)) {
-      if (count_[nb] == 0) continue;
-      const uint32_t te = slot_[nb];
-      const uint32_t tb = te - count_[nb];
-      for (uint32_t j = tb; j < te; ++j) {
-        const ObjectId b = cell_objects_[j];
-        if (b == a) continue;
-        // A probe–probe pair is claimed by its smaller endpoint: when b
-        // is also a probe and b < a, b's own scan already emitted it.
-        if (b < a &&
-            std::binary_search(probes.begin(), probes.end(), b)) {
-          continue;
-        }
-        if (Point::DistanceSquared(pa, positions_[b]) < dt_sq_) {
-          out.emplace_back(std::min(a, b), std::max(a, b));
-        }
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+std::vector<std::pair<ObjectId, ObjectId>> ProximityJoiner::PairsAmong(
+    const std::vector<Point>& positions) {
+  BinPositions(positions);
+  return SweepCells(positions);
 }
 
 }  // namespace streach

@@ -1,7 +1,6 @@
 #ifndef STREACH_JOIN_PROXIMITY_JOIN_H_
 #define STREACH_JOIN_PROXIMITY_JOIN_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -11,18 +10,14 @@
 
 namespace streach {
 
-class FrontierPool;
-
 /// \brief Knobs of the contact-extraction front end (the trajectory join
 /// that feeds every index build).
 ///
-/// `threads` parallelizes both levels of the pipeline: a joiner built
-/// with `threads > 1` spreads each tick's cell-pair sweep across a
-/// FrontierPool, and `ExtractContacts` partitions the scan window into
-/// time-slice chunks processed by `threads` workers. Results are
-/// *identical* (same contacts, same order) at every setting — work-size
-/// floors keep the 1-thread/1-core profile flat, and `threads = 1` with
-/// `chunk_ticks = 0` runs the historical sequential code path.
+/// `ExtractContacts` partitions the scan window into time-slice chunks
+/// processed by `threads` workers, one single-threaded joiner each.
+/// Results are *identical* (same contacts, same order) at every setting —
+/// a work-size floor keeps short windows sequential, and `threads = 1`
+/// with `chunk_ticks = 0` runs the historical sequential code path.
 struct JoinOptions {
   /// Join workers (>= 1). 1 = the historical sequential front end.
   int threads = 1;
@@ -40,84 +35,51 @@ struct JoinOptions {
 /// with cell side dT: each object only needs to be compared against
 /// objects in its own and the 8 neighboring cells.
 ///
-/// The per-tick occupancy is kept as a flat CSR-style cell list — one
+/// Each call bins the positions into a flat CSR-style cell list — one
 /// counting pass, prefix offsets, one scatter into a single contiguous
-/// ObjectId array — so a tick rebuild allocates nothing after the first
-/// tick, and positions are gathered once per tick into a flat array
-/// instead of being re-resolved per cell pass. The fill is cached by
-/// tick: back-to-back calls for the same tick (as guided expansion and
-/// the extraction loop issue) skip the rebuild entirely. The store must
-/// not change while a joiner is using it.
+/// ObjectId array — so a joiner reused tick after tick rebuilds its cell
+/// list without allocating after the first call.
 class ProximityJoiner {
  public:
   /// `dt` is the contact threshold dT (meters); pairs at distance < dT
-  /// match (strict, per §3.1). Computes the environment extent from the
-  /// store.
-  ProximityJoiner(const TrajectoryStore* store, double dt);
-
-  /// As above with a precomputed environment extent (see
-  /// `EnvironmentExtent`) so many joiners — e.g. one per chunk worker —
-  /// share one extent scan, and `threads > 1` frontier workers for the
-  /// per-tick cell sweep.
-  ProximityJoiner(const TrajectoryStore* store, double dt, const Rect& extent,
-                  int threads = 1);
-
-  ~ProximityJoiner();
+  /// match (strict, per §3.1). `extent` sizes the grid (see
+  /// `EnvironmentExtent`), so many joiners — e.g. one per chunk worker —
+  /// share one extent scan.
+  ProximityJoiner(double dt, const Rect& extent);
 
   ProximityJoiner(const ProximityJoiner&) = delete;
   ProximityJoiner& operator=(const ProximityJoiner&) = delete;
 
-  /// The non-degenerate bounding box of every sample — the extent the
-  /// single-argument constructor computes internally.
+  /// The non-degenerate bounding box of every sample of `store`.
   static Rect EnvironmentExtent(const TrajectoryStore& store);
 
-  /// All pairs (a < b) in contact at tick `t`, in deterministic order
-  /// (sorted ascending) at any thread count.
-  std::vector<std::pair<ObjectId, ObjectId>> PairsAtTick(Timestamp t);
-
-  /// As PairsAtTick, restricted to pairs where at least one side is in
-  /// `probes` (used by guided expansion: contacts between current seeds
-  /// and anyone else). `probes` must be sorted and duplicate-free. Each
-  /// matching pair is emitted exactly once — a probe–probe pair is
-  /// claimed by its smaller endpoint — so the output needs no dedup.
-  std::vector<std::pair<ObjectId, ObjectId>> PairsAtTickInvolving(
-      Timestamp t, const std::vector<ObjectId>& probes);
-
-  const UniformGrid2D& grid() const { return grid_; }
-
-  /// Tick whose cell list is currently materialized (kInvalidTime before
-  /// the first fill). Exposed for the rebuild-hoisting regression test.
-  Timestamp filled_tick() const { return filled_tick_; }
+  /// All pairs (a < b) of `positions` (indexed by object id) closer than
+  /// dT, sorted ascending. A position outside the extent joins from its
+  /// nearest border cell, so the pairs are exact for any positions.
+  std::vector<std::pair<ObjectId, ObjectId>> PairsAmong(
+      const std::vector<Point>& positions);
 
  private:
-  /// Rebuilds the CSR cell list for tick `t`; no-op when `t` is already
-  /// filled.
-  void FillCellList(Timestamp t);
+  /// Rebuilds the CSR cell list from `positions`.
+  void BinPositions(const std::vector<Point>& positions);
 
-  /// Emits the contact pairs of `used_cells_[begin..end)` (within-cell
-  /// and forward-neighbor sweeps) into `out`. Thread-safe over disjoint
-  /// ranges of a filled cell list.
-  void SweepCellRange(size_t begin, size_t end,
-                      std::vector<std::pair<ObjectId, ObjectId>>* out) const;
+  /// The contact pairs of the cell list of `positions` (within-cell and
+  /// forward-neighbor sweeps), sorted ascending.
+  std::vector<std::pair<ObjectId, ObjectId>> SweepCells(
+      const std::vector<Point>& positions) const;
 
-  const TrajectoryStore* store_;
-  double dt_;
   double dt_sq_;
   UniformGrid2D grid_;
-  int threads_;
-  std::unique_ptr<FrontierPool> pool_;  // Lazily built at first parallel sweep.
 
-  // CSR cell list of `filled_tick_`: objects of cell c occupy
+  // CSR cell list of the last joined positions: objects of cell c occupy
   // cell_objects_[slot_[c] - count_[c], slot_[c]), ascending. count_ is
   // nonzero only for cells in used_cells_ (reset cell-by-cell, never a
   // full-grid memset).
-  Timestamp filled_tick_ = kInvalidTime;
-  std::vector<Point> positions_;        // One gather per tick, by object.
-  std::vector<CellId> cell_of_;         // Cell of each object at the tick.
+  std::vector<CellId> cell_of_;         // Cell of each object.
   std::vector<uint32_t> count_;         // Per-cell occupancy.
   std::vector<uint32_t> slot_;          // Per-cell CSR end offset.
   std::vector<ObjectId> cell_objects_;  // The one contiguous payload array.
-  std::vector<CellId> used_cells_;      // Non-empty cells, sorted.
+  std::vector<CellId> used_cells_;      // Non-empty cells, discovery order.
 };
 
 }  // namespace streach

@@ -344,6 +344,30 @@ Result<std::vector<DnGraph::TimelineEntry>> ReachGraphIndex::ReadTimeline(
   return ParseTimeline(*blob);
 }
 
+Status ReachGraphIndex::LoadTimelines(const std::vector<ObjectId>& objects,
+                                      BufferPool* pool,
+                                      TimelineCache* cache) const {
+  // Uncached objects in first-appearance order. The cache marks each one
+  // with an empty placeholder, so a repeat is skipped in O(1); a failed
+  // read aborts the query that owns the cache.
+  std::vector<ObjectId> need;
+  std::vector<Extent> extents;
+  for (ObjectId o : objects) {
+    if (!cache->try_emplace(o).second) continue;
+    need.push_back(o);
+    extents.push_back(timeline_extents_[o]);
+  }
+  if (need.empty()) return Status::OK();
+  auto blobs = ReadExtentsBatched(pool, extents, options_.page_size);
+  if (!blobs.ok()) return blobs.status();
+  for (size_t k = 0; k < need.size(); ++k) {
+    auto timeline = ParseTimeline((*blobs)[k]);
+    if (!timeline.ok()) return timeline.status();
+    (*cache)[need[k]] = std::move(*timeline);
+  }
+  return Status::OK();
+}
+
 Result<VertexId> ReachGraphIndex::LookupVertex(ObjectId object, Timestamp t,
                                                BufferPool* pool) const {
   auto timeline = ReadTimeline(object, pool);
@@ -373,34 +397,7 @@ Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
   // every seed.
   TraversalScratch scratch;
   scratch.pool = pool;
-  std::unordered_map<ObjectId, std::vector<DnGraph::TimelineEntry>>
-      timeline_cache;
-  auto load_timelines = [&](const std::vector<ObjectId>& objects) -> Status {
-    std::vector<ObjectId> need;  // Uncached, first-appearance order.
-    std::vector<Extent> extents;
-    for (ObjectId o : objects) {
-      if (timeline_cache.count(o) != 0) continue;
-      bool queued = false;
-      for (ObjectId q : need) {
-        if (q == o) {
-          queued = true;
-          break;
-        }
-      }
-      if (queued) continue;
-      need.push_back(o);
-      extents.push_back(timeline_extents_[o]);
-    }
-    if (need.empty()) return Status::OK();
-    auto blobs = ReadExtentsBatched(pool, extents, options_.page_size);
-    if (!blobs.ok()) return blobs.status();
-    for (size_t k = 0; k < need.size(); ++k) {
-      auto timeline = ParseTimeline((*blobs)[k]);
-      if (!timeline.ok()) return timeline.status();
-      timeline_cache.emplace(need[k], std::move(*timeline));
-    }
-    return Status::OK();
-  };
+  TimelineCache timeline_cache;
 
   // Lanes of 64 sources share one masked time-ordered Dijkstra over
   // components: an entry says "these lanes' items enter `vertex` at tick
@@ -439,7 +436,7 @@ Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
       for (size_t si = chunk_begin; si < chunk_end; ++si) {
         if (sources[si] < num_objects_) seed_objects.push_back(sources[si]);
       }
-      STREACH_RETURN_NOT_OK(load_timelines(seed_objects));
+      STREACH_RETURN_NOT_OK(LoadTimelines(seed_objects, pool, &timeline_cache));
       pushed.clear();
       for (size_t si = chunk_begin; si < chunk_end; ++si) {
         const ObjectId src = sources[si];
@@ -479,7 +476,8 @@ Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
         newly_objects.push_back(o);
       }
       if (newly.empty()) continue;
-      STREACH_RETURN_NOT_OK(load_timelines(newly_objects));
+      STREACH_RETURN_NOT_OK(
+          LoadTimelines(newly_objects, pool, &timeline_cache));
       pushed.clear();
       for (const auto& [o, add] : newly) {
         push_object(top.enter, timeline_cache[o], add);
@@ -500,26 +498,7 @@ Result<std::vector<ReachProfileEntry>> ReachGraphIndex::ConstrainedProfile(
   TraversalScratch scratch;
   scratch.pool = pool;
   // Timelines parse once per query, whatever level first needs them.
-  std::unordered_map<ObjectId, std::vector<DnGraph::TimelineEntry>>
-      timeline_cache;
-  auto load_timelines = [&](const std::vector<ObjectId>& objects) -> Status {
-    std::vector<ObjectId> need;
-    std::vector<Extent> extents;
-    for (ObjectId o : objects) {
-      if (timeline_cache.count(o) != 0) continue;
-      need.push_back(o);
-      extents.push_back(timeline_extents_[o]);
-    }
-    if (need.empty()) return Status::OK();
-    auto blobs = ReadExtentsBatched(pool, extents, options_.page_size);
-    if (!blobs.ok()) return blobs.status();
-    for (size_t k = 0; k < need.size(); ++k) {
-      auto timeline = ParseTimeline((*blobs)[k]);
-      if (!timeline.ok()) return timeline.status();
-      timeline_cache.emplace(need[k], std::move(*timeline));
-    }
-    return Status::OK();
-  };
+  TimelineCache timeline_cache;
 
   // The two earliest admissible entries of a vertex from *distinct*
   // carriers. A member takes the earliest entry not carried by itself,
@@ -565,7 +544,7 @@ Result<std::vector<ReachProfileEntry>> ReachGraphIndex::ConstrainedProfile(
     for (ObjectId o = 0; o < num_objects_; ++o) {
       if (prev[o] != kInvalidTime) carriers.push_back(o);
     }
-    STREACH_RETURN_NOT_OK(load_timelines(carriers));
+    STREACH_RETURN_NOT_OK(LoadTimelines(carriers, pool, &timeline_cache));
 
     std::unordered_map<VertexId, VertexEntries> entered;
     std::vector<VertexId> wanted;

@@ -195,6 +195,15 @@ class ReachGraphIndex {
   Result<std::vector<DnGraph::TimelineEntry>> ReadTimeline(
       ObjectId object, BufferPool* pool) const;
 
+  /// Per-query parsed timelines, by object.
+  using TimelineCache =
+      std::unordered_map<ObjectId, std::vector<DnGraph::TimelineEntry>>;
+
+  /// Reads the timelines of `objects` missing from `cache` as one batch
+  /// (repeats dropped, first-appearance order) and parses them into it.
+  Status LoadTimelines(const std::vector<ObjectId>& objects, BufferPool* pool,
+                       TimelineCache* cache) const;
+
   Result<ReachAnswer> RunBidirectional(const ReachQuery& query,
                                        bool use_long_edges, BufferPool* pool,
                                        QueryStats* stats) const;

@@ -153,7 +153,7 @@ TEST(IntegrationTest, ReachGridBeatsSpjOnIo) {
     spj_io += s.spj->last_query_stats().io_cost;
   }
   // The paper reports >= 96% at 20k-40k objects; the margin grows with
-  // dataset size (see bench_spj_vs_reachgrid), so at this unit-test scale
+  // dataset size (see `bench_paper spj`), so at this unit-test scale
   // we only assert the direction.
   EXPECT_LT(grid_io, spj_io) << "grid=" << grid_io << " spj=" << spj_io;
 }

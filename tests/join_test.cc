@@ -60,6 +60,14 @@ std::vector<std::pair<ObjectId, ObjectId>> BruteForcePairs(
   return out;
 }
 
+/// The pairs `joiner` finds among the store's positions at tick `t`.
+std::vector<std::pair<ObjectId, ObjectId>> JoinAt(
+    ProximityJoiner* joiner, const TrajectoryStore& store, Timestamp t) {
+  std::vector<Point> positions;
+  store.GatherPositionsAt(t, &positions);
+  return joiner->PairsAmong(positions);
+}
+
 /// O(N^2 T) reference extractor: brute-force pairs per tick, coalesced
 /// into maximal runs, sorted like ExtractContacts.
 std::vector<Contact> BruteForceContacts(const TrajectoryStore& store,
@@ -131,18 +139,20 @@ TEST(ContactTest, SortsByStartTime) {
 
 TEST(ProximityJoinTest, SimplePair) {
   auto store = StoreFromPaths({{Point(0, 0)}, {Point(3, 4)}, {Point(50, 50)}});
-  ProximityJoiner joiner(&store, 6.0);
-  const auto pairs = joiner.PairsAtTick(0);
+  ProximityJoiner joiner(6.0, ProximityJoiner::EnvironmentExtent(store));
+  const auto pairs = JoinAt(&joiner, store, 0);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0], std::make_pair(ObjectId{0}, ObjectId{1}));
 }
 
 TEST(ProximityJoinTest, ThresholdIsStrict) {
   auto store = StoreFromPaths({{Point(0, 0)}, {Point(5, 0)}});
-  ProximityJoiner exactly(&store, 5.0);
-  EXPECT_TRUE(exactly.PairsAtTick(0).empty());  // dist == dT: no contact.
-  ProximityJoiner slightly(&store, 5.0001);
-  EXPECT_EQ(slightly.PairsAtTick(0).size(), 1u);
+  const Rect extent = ProximityJoiner::EnvironmentExtent(store);
+  ProximityJoiner exactly(5.0, extent);
+  // dist == dT: no contact.
+  EXPECT_TRUE(JoinAt(&exactly, store, 0).empty());
+  ProximityJoiner slightly(5.0001, extent);
+  EXPECT_EQ(JoinAt(&slightly, store, 0).size(), 1u);
 }
 
 TEST(ProximityJoinTest, MatchesBruteForceProperty) {
@@ -150,35 +160,36 @@ TEST(ProximityJoinTest, MatchesBruteForceProperty) {
   for (int round = 0; round < 20; ++round) {
     auto store = RandomStore(&rng, 60, 5, 200.0, 10.0);
     const double dt = rng.UniformDouble(5, 40);
-    ProximityJoiner joiner(&store, dt);
+    // One joiner serves every tick, so each call must clear the cell
+    // list of the tick before.
+    ProximityJoiner joiner(dt, ProximityJoiner::EnvironmentExtent(store));
     for (Timestamp t = 0; t < 5; ++t) {
       auto expected = BruteForcePairs(store, t, dt);
-      auto actual = joiner.PairsAtTick(t);
+      auto actual = JoinAt(&joiner, store, t);
       std::sort(expected.begin(), expected.end());
       EXPECT_EQ(actual, expected) << "round " << round << " t " << t;
     }
   }
 }
 
-TEST(ProximityJoinTest, InvolvingSubsetProperty) {
-  Rng rng(43);
-  auto store = RandomStore(&rng, 50, 3, 150.0, 5.0);
-  ProximityJoiner joiner(&store, 20.0);
-  const std::vector<ObjectId> probes = {3, 10, 22};
-  for (Timestamp t = 0; t < 3; ++t) {
-    const auto all = joiner.PairsAtTick(t);
-    const auto involving = joiner.PairsAtTickInvolving(t, probes);
-    // Exactly the pairs of `all` touching a probe.
-    std::vector<std::pair<ObjectId, ObjectId>> expected;
-    for (const auto& p : all) {
-      for (ObjectId probe : probes) {
-        if (p.first == probe || p.second == probe) {
-          expected.push_back(p);
-          break;
-        }
+TEST(ProximityJoinTest, PairsAmongMatchesBruteForceInAndOutsideExtent) {
+  // Joiners over the middle of the environment and over a box far from
+  // it: objects outside the extent join from the border cells and still
+  // pair exactly.
+  Rng rng(67);
+  for (int round = 0; round < 10; ++round) {
+    auto store = RandomStore(&rng, 60, 3, 200.0, 10.0);
+    const double dt = rng.UniformDouble(5, 40);
+    for (const Rect& extent :
+         {Rect(50, 50, 150, 150), Rect(-500, -500, -400, -400)}) {
+      ProximityJoiner joiner(dt, extent);
+      for (Timestamp t = 0; t < 3; ++t) {
+        auto expected = BruteForcePairs(store, t, dt);
+        std::sort(expected.begin(), expected.end());
+        EXPECT_EQ(JoinAt(&joiner, store, t), expected)
+            << "round " << round << " t " << t;
       }
     }
-    EXPECT_EQ(involving, expected);
   }
 }
 
@@ -281,11 +292,11 @@ TEST(ContactExtractorTest, CoalescingMatchesPerTickPairsProperty) {
         by_tick[static_cast<size_t>(t)].emplace_back(c.a, c.b);
       }
     }
-    ProximityJoiner joiner(&store, dt);
+    ProximityJoiner joiner(dt, ProximityJoiner::EnvironmentExtent(store));
     for (Timestamp t = 0; t < 20; ++t) {
       auto& got = by_tick[static_cast<size_t>(t)];
       std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, joiner.PairsAtTick(t)) << "round " << round;
+      EXPECT_EQ(got, JoinAt(&joiner, store, t)) << "round " << round;
     }
     // Maximality: no two contacts of the same pair are adjacent in time.
     for (size_t i = 0; i < contacts.size(); ++i) {
@@ -307,77 +318,6 @@ TEST(ContactExtractorTest, NoObjectsNoContacts) {
 }
 
 // ------------------------------------------------- Parallel join front end
-
-TEST(ProximityJoinTest, InvolvingNoDuplicatesPreDedup) {
-  // Regression: probe–probe pairs used to be emitted once per endpoint
-  // and cleaned up by sort+unique. A cluster of probes all within dT
-  // of each other must now come out duplicate-free directly.
-  auto store = StoreFromPaths({{Point(0, 0)},
-                               {Point(1, 0)},
-                               {Point(0, 1)},
-                               {Point(1, 1)},
-                               {Point(50, 50)}});
-  ProximityJoiner joiner(&store, 5.0);
-  const std::vector<ObjectId> probes = {0, 1, 2, 3};
-  const auto pairs = joiner.PairsAtTickInvolving(0, probes);
-  EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end())
-      << "probe-probe pairs emitted more than once";
-  // All six probe pairs, each exactly once.
-  EXPECT_EQ(pairs.size(), 6u);
-  EXPECT_EQ(pairs, joiner.PairsAtTick(0));
-}
-
-TEST(ProximityJoinTest, InvolvingNoDuplicatesRandomProperty) {
-  Rng rng(53);
-  for (int round = 0; round < 10; ++round) {
-    auto store = RandomStore(&rng, 50, 2, 80.0, 5.0);
-    ProximityJoiner joiner(&store, 25.0);
-    // A dense sorted probe set so probe-probe contacts are common.
-    const std::vector<ObjectId> probes = {2, 5, 6, 11, 12, 13, 30, 41};
-    for (Timestamp t = 0; t < 2; ++t) {
-      const auto pairs = joiner.PairsAtTickInvolving(t, probes);
-      EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end())
-          << "round " << round << " t " << t;
-    }
-  }
-}
-
-TEST(ProximityJoinTest, CellListCachedForRepeatedTick) {
-  Rng rng(59);
-  auto store = RandomStore(&rng, 30, 4, 100.0, 5.0);
-  ProximityJoiner joiner(&store, 15.0);
-  EXPECT_EQ(joiner.filled_tick(), kInvalidTime);
-  const auto first = joiner.PairsAtTick(2);
-  EXPECT_EQ(joiner.filled_tick(), 2);
-  // Back-to-back calls for the same tick (the guided-expansion access
-  // pattern) reuse the cell list and agree with the fresh fill.
-  EXPECT_EQ(joiner.PairsAtTick(2), first);
-  EXPECT_EQ(joiner.PairsAtTickInvolving(2, {1, 7, 9}),
-            ProximityJoiner(&store, 15.0).PairsAtTickInvolving(2, {1, 7, 9}));
-  EXPECT_EQ(joiner.filled_tick(), 2);
-  joiner.PairsAtTick(3);  // A different tick invalidates the cache.
-  EXPECT_EQ(joiner.filled_tick(), 3);
-  EXPECT_EQ(joiner.PairsAtTick(2), first);
-}
-
-TEST(ProximityJoinTest, ParallelSweepMatchesSequentialAndBruteForce) {
-  // Enough occupied cells to clear the parallel work-size floor.
-  Rng rng(61);
-  auto store = RandomStore(&rng, 300, 3, 600.0, 8.0);
-  const double dt = 12.0;
-  const Rect extent = ProximityJoiner::EnvironmentExtent(store);
-  ProximityJoiner sequential(&store, dt, extent, 1);
-  for (int threads : {2, 4}) {
-    ProximityJoiner parallel(&store, dt, extent, threads);
-    for (Timestamp t = 0; t < 3; ++t) {
-      auto expected = BruteForcePairs(store, t, dt);
-      std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(sequential.PairsAtTick(t), expected);
-      EXPECT_EQ(parallel.PairsAtTick(t), expected)
-          << "threads " << threads << " t " << t;
-    }
-  }
-}
 
 TEST(ContactExtractorTest, ParallelChunkedByteIdentical) {
   // The tentpole contract: every (threads, chunk_ticks) configuration

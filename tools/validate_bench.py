@@ -11,16 +11,21 @@ checker instead of inline workflow scripts:
     python3 tools/validate_bench.py streaming BENCH_streaming.json
     python3 tools/validate_bench.py query_families BENCH_query_families.json
     python3 tools/validate_bench.py fault_injection BENCH_fault_injection.json
+    python3 tools/validate_bench.py paper     BENCH_paper.json
 
 Each validator asserts the schema (required fields per row) and the
 behavioural contracts the sweep is supposed to prove — IO overlap under
 deep queues, codec compression, batch dedup, join determinism, streaming
-batch equivalence. Exits non-zero with the failed assertion on any
-violation.
+batch equivalence, and for the paper scorecard exact agreement with the
+committed baseline bench/paper_baseline.json. Exits non-zero with the
+failed assertion on any violation.
 """
 
 import argparse
 import json
+import math
+import operator
+import os
 import sys
 
 
@@ -371,6 +376,97 @@ def validate_fault_injection(path):
           f"{max(r['read_retries'] for r in masked)}")
 
 
+PAPER_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "bench", "paper_baseline.json")
+COMPARISONS = {">": operator.gt, ">=": operator.ge}
+
+
+def paper_cells(doc):
+    """Cells by (experiment, dataset, setting, metric); each key once."""
+    cells = {}
+    for cell in doc["cells"]:
+        key = (cell["experiment"], cell["dataset"], cell["setting"],
+               cell["metric"])
+        assert key not in cells, f"cell appears twice: {key}"
+        cells[key] = cell
+    return cells
+
+
+def validate_paper(path):
+    with open(path) as f:
+        doc = json.load(f)
+    with open(PAPER_BASELINE) as f:
+        base = json.load(f)
+    assert isinstance(doc, dict), "not a JSON object"
+    for field in ("experiments", "cells", "claims"):
+        assert isinstance(doc.get(field), list), f"no {field} list"
+    check_required(doc["experiments"], {"id", "title", "paper"})
+    check_required(doc["cells"], {"experiment", "dataset", "setting",
+                                  "metric", "value", "exact"})
+    check_required(doc["claims"], {"experiment", "dataset", "setting",
+                                   "metric", "measured", "comparison",
+                                   "bound", "holds"})
+    # The experiment ids are the baseline's.
+    experiments = {e["id"] for e in base["experiments"]}
+    ids = [e["id"] for e in doc["experiments"]]
+    assert len(ids) == len(set(ids)), f"experiment listed twice: {ids}"
+    assert set(ids) == experiments, \
+        f"experiments {sorted(set(ids) ^ experiments)} missing or unknown"
+    cells = paper_cells(doc)
+    baseline = paper_cells(base)
+    for key, cell in cells.items():
+        assert key[0] in experiments, f"unknown experiment: {cell}"
+        assert isinstance(cell["exact"], bool), f"exact not a bool: {cell}"
+        value = cell["value"]
+        assert isinstance(value, (int, float)) and \
+            not isinstance(value, bool), f"value not a number: {cell}"
+        if not cell["exact"]:
+            assert math.isfinite(value) and value > 0, \
+                f"timed cell not finite and > 0: {cell}"
+    assert {key[0] for key in cells} == experiments, \
+        "an experiment recorded no cell"
+    # Exactness contract: the same cells as the baseline, and every
+    # exact one (simulated IO, counts, sizes and what derives from them)
+    # equal to the baseline's value bit for bit.
+    missing = sorted(set(baseline) - set(cells))
+    extra = sorted(set(cells) - set(baseline))
+    assert not missing, f"cells missing against the baseline: {missing}"
+    assert not extra, f"cells not in the baseline: {extra}"
+    exact = 0
+    for key, cell in cells.items():
+        assert cell["exact"] == baseline[key]["exact"], \
+            f"exact flag differs from the baseline: {cell}"
+        if cell["exact"]:
+            exact += 1
+            assert cell["value"] == baseline[key]["value"], \
+                f"{key}: {cell['value']!r} != baseline " \
+                f"{baseline[key]['value']!r}"
+    # Claims: each restates its cell and evaluates its own comparison;
+    # the bounds are the baseline's. A claim that misses does not fail.
+    def claim_key(claim):
+        return (claim["experiment"], claim["dataset"], claim["setting"],
+                claim["metric"], claim["comparison"], claim["bound"])
+    misses = []
+    for claim in doc["claims"]:
+        key = claim_key(claim)
+        assert key[:4] in cells, f"claim on no cell: {claim}"
+        assert claim["measured"] == cells[key[:4]]["value"], \
+            f"claim does not restate its cell: {claim}"
+        assert claim["comparison"] in COMPARISONS, f"comparison: {claim}"
+        holds = COMPARISONS[claim["comparison"]](claim["measured"],
+                                                 claim["bound"])
+        assert claim["holds"] is holds, f"holds is not {holds}: {claim}"
+        if not holds:
+            misses.append(f"{key[0]} {key[1]} {key[3]} "
+                          f"{claim['measured']:.1f} {key[4]} {key[5]}")
+    assert sorted(map(claim_key, doc["claims"])) == \
+        sorted(map(claim_key, base["claims"])), \
+        "claim rows differ from the baseline's"
+    print(f"{len(cells)} cells OK ({exact} exact, equal to the baseline); "
+          f"{len(doc['claims']) - len(misses)} of {len(doc['claims'])} "
+          f"claims hold; misses: {'; '.join(misses) or 'none'}")
+
+
 VALIDATORS = {
     "engine": validate_engine,
     "build": validate_build,
@@ -378,6 +474,7 @@ VALIDATORS = {
     "streaming": validate_streaming,
     "query_families": validate_query_families,
     "fault_injection": validate_fault_injection,
+    "paper": validate_paper,
 }
 
 
