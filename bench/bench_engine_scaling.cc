@@ -1,12 +1,10 @@
 // Engine scaling sweep: throughput of the disk-resident backends under
 // num_threads x num_shards x io_queue_depth x page_codec, through the
-// concurrent QueryEngine — plus the closure-side axes: traversal_threads
-// (intra-query parallel frontier, PR 6) and batch_sources (multi-source
-// shared-frontier closure, PR 6). The closure cells run RunClosures over
-// a fixed seed set: the traversal_threads axis charts one sweep's
-// frontier parallelism, the batch_sources axis charts the read dedup of
-// evaluating many seeds in one sweep (reads_per_source drops as the
-// batch grows; answers never change on either axis).
+// concurrent QueryEngine — plus the closure-side batch_sources axis
+// (multi-source shared-frontier closure). The closure cells run
+// RunClosures over a fixed seed set: the batch_sources axis charts the
+// read dedup of evaluating many seeds in one sweep (reads_per_source
+// drops as the batch grows; answers never change).
 //
 // Not a paper experiment — this charts the perf trajectory of the
 // production engine: per-thread buffer-pool sessions over a shared
@@ -184,9 +182,8 @@ struct Row {
   int shards;
   int depth;
   std::string codec;
-  // Closure axes (1/1 on the point-query cells): frontier workers inside
-  // one sweep, and seeds per shared-frontier batch.
-  int traversal_threads;
+  // Closure axis (1 on the point-query cells): seeds per shared-frontier
+  // batch.
   int batch_sources;
   double qps;
   double mean_io;
@@ -231,8 +228,7 @@ void RunCell(benchmark::State& state, const std::string& name,
           : static_cast<double>(summary.total_pages_fetched) /
                 static_cast<double>(summary.num_queries);
   Rows().push_back({name, threads, shards, depth,
-                    ToString(CodecOf(codec)),
-                    /*traversal_threads=*/1, /*batch_sources=*/1,
+                    ToString(CodecOf(codec)), /*batch_sources=*/1,
                     summary.queries_per_second, summary.mean_io_cost(),
                     summary.total_pages_fetched, per_source,
                     summary.p95_latency * 1e6, summary.p99_latency * 1e6,
@@ -265,17 +261,15 @@ TimeInterval ClosureWindow() {
 void RunClosureCell(benchmark::State& state, const std::string& name,
                     const std::string& built_as,
                     std::unique_ptr<ReachabilityIndex> backend) {
-  const int tthreads = static_cast<int>(state.range(0));
-  const int shards = static_cast<int>(state.range(1));
-  const int batch = static_cast<int>(state.range(2));
-  const int codec = static_cast<int>(state.range(3));
+  const int shards = static_cast<int>(state.range(0));
+  const int batch = static_cast<int>(state.range(1));
+  const int codec = static_cast<int>(state.range(2));
   BuildProfiles()[{name, shards, codec}] =
       BuildProfiles()[{built_as, shards, codec}];
   QueryEngineOptions options;
   options.num_threads = 1;
   options.cold_cache = true;  // Dedup WITHIN a batch is the whole story.
   options.page_codec = CodecOf(codec);
-  options.traversal_threads = tthreads;
   options.batch_sources = batch;
   const QueryEngine engine(options);
   const std::vector<ObjectId> sources = ClosureSources();
@@ -292,7 +286,7 @@ void RunClosureCell(benchmark::State& state, const std::string& name,
   state.counters["closures_per_sec"] = summary.queries_per_second;
   state.counters["reads_per_source"] = per_source;
   Rows().push_back({name, /*threads=*/1, shards, /*depth=*/1,
-                    ToString(CodecOf(codec)), tthreads, batch,
+                    ToString(CodecOf(codec)), batch,
                     summary.queries_per_second, summary.mean_io_cost(),
                     summary.total_pages_fetched, per_source,
                     summary.p95_latency * 1e6, summary.p99_latency * 1e6,
@@ -340,58 +334,44 @@ BENCHMARK(SpjScaling)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-// ---- Closure cells (PR 6): traversal_threads and batch_sources axes.
-
-void GridClosureScaling(benchmark::State& state) {
-  RunClosureCell(
-      state, "ReachGrid(closure)", "ReachGrid",
-      MakeReachGridBackend(GridIndex(static_cast<int>(state.range(1)),
-                                     static_cast<int>(state.range(3)))));
-}
+// ---- Closure cells: the batch_sources axis.
 
 void GridMultiSource(benchmark::State& state) {
   RunClosureCell(
       state, "ReachGrid(multi-source)", "ReachGrid",
-      MakeReachGridBackend(GridIndex(static_cast<int>(state.range(1)),
-                                     static_cast<int>(state.range(3)))));
+      MakeReachGridBackend(GridIndex(static_cast<int>(state.range(0)),
+                                     static_cast<int>(state.range(2)))));
 }
 
 void GraphMultiSource(benchmark::State& state) {
   RunClosureCell(
       state, "ReachGraph(multi-source)", "ReachGraph(BM-BFS)",
-      MakeReachGraphBackend(GraphIndex(static_cast<int>(state.range(1)),
-                                       static_cast<int>(state.range(3))),
+      MakeReachGraphBackend(GraphIndex(static_cast<int>(state.range(0)),
+                                       static_cast<int>(state.range(2))),
                             ReachGraphTraversal::kBmBfs));
 }
 
 void SpjMultiSource(benchmark::State& state) {
   RunClosureCell(
       state, "SPJ(multi-source)", "SPJ(scan-join)",
-      MakeSpjBackend(SpjIndex(static_cast<int>(state.range(1)),
-                              static_cast<int>(state.range(3)))));
+      MakeSpjBackend(SpjIndex(static_cast<int>(state.range(0)),
+                              static_cast<int>(state.range(2)))));
 }
 
-// Intra-query frontier scaling: single-source batches, 1..4 frontier
-// workers per sweep.
-BENCHMARK(GridClosureScaling)
-    ->ArgsProduct({{1, 2, 4}, {1}, {1}, {0}})
-    ->ArgNames({"tthreads", "shards", "batch", "codec"})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 // Multi-source read dedup: one thread, growing shared-frontier batches.
 BENCHMARK(GridMultiSource)
-    ->ArgsProduct({{1}, {1}, {1, 2, 4, 8}, {0}})
-    ->ArgNames({"tthreads", "shards", "batch", "codec"})
+    ->ArgsProduct({{1}, {1, 2, 4, 8}, {0}})
+    ->ArgNames({"shards", "batch", "codec"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(GraphMultiSource)
-    ->ArgsProduct({{1}, {1}, {1, 2, 4, 8}, {0}})
-    ->ArgNames({"tthreads", "shards", "batch", "codec"})
+    ->ArgsProduct({{1}, {1, 2, 4, 8}, {0}})
+    ->ArgNames({"shards", "batch", "codec"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(SpjMultiSource)
-    ->ArgsProduct({{1}, {1}, {1, 2, 4, 8}, {0}})
-    ->ArgNames({"tthreads", "shards", "batch", "codec"})
+    ->ArgsProduct({{1}, {1, 2, 4, 8}, {0}})
+    ->ArgNames({"shards", "batch", "codec"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
@@ -408,7 +388,7 @@ void WriteJson(const char* path) {
     std::fprintf(
         f,
         "  {\"backend\": \"%s\", \"threads\": %d, \"shards\": %d, "
-        "\"depth\": %d, \"codec\": \"%s\", \"traversal_threads\": %d, "
+        "\"depth\": %d, \"codec\": \"%s\", "
         "\"batch_sources\": %d, \"qps\": %.1f, "
         "\"io_per_query\": %.2f, \"total_reads\": %llu, "
         "\"reads_per_source\": %.2f, "
@@ -420,8 +400,7 @@ void WriteJson(const char* path) {
         "\"encoded_bytes\": %llu, \"decoded_bytes\": %llu, "
         "\"compression_ratio\": %.3f}%s\n",
         r.backend.c_str(), r.threads, r.shards, r.depth, r.codec.c_str(),
-        r.traversal_threads, r.batch_sources,
-        r.qps, r.mean_io,
+        r.batch_sources, r.qps, r.mean_io,
         static_cast<unsigned long long>(r.total_reads),
         r.reads_per_source,
         r.p95_us, r.p99_us, r.pool_hit_rate, r.mean_inflight,
@@ -443,19 +422,18 @@ void WriteJson(const char* path) {
 
 void PrintScalingTable() {
   std::printf(
-      "\n%-24s %8s %7s %6s %-13s %5s %6s %10s %12s %10s %10s %9s %8s\n",
-      "Backend", "Threads", "Shards", "Depth", "Codec", "tthr", "batch",
+      "\n%-24s %8s %7s %6s %-13s %6s %10s %12s %10s %10s %9s %8s\n",
+      "Backend", "Threads", "Shards", "Depth", "Codec", "batch",
       "q/s", "io/query", "p99(us)", "hit-rate", "inflight", "reads/src");
   double best_multi = 0, best_single = 0;
   for (const Row& r : Rows()) {
     std::printf(
-        "%-24s %8d %7d %6d %-13s %5d %6d %10.0f %12.2f %10.0f %9.1f%% "
+        "%-24s %8d %7d %6d %-13s %6d %10.0f %12.2f %10.0f %9.1f%% "
         "%9.2f %9.2f\n",
         r.backend.c_str(), r.threads, r.shards, r.depth, r.codec.c_str(),
-        r.traversal_threads, r.batch_sources,
-        r.qps, r.mean_io, r.p99_us, 100.0 * r.pool_hit_rate,
+        r.batch_sources, r.qps, r.mean_io, r.p99_us, 100.0 * r.pool_hit_rate,
         r.mean_inflight, r.reads_per_source);
-    if (r.traversal_threads > 1 || r.batch_sources > 1) continue;
+    if (r.batch_sources > 1) continue;
     if (r.threads == 1) {
       if (r.qps > best_single) best_single = r.qps;
     } else if (r.qps > best_multi) {

@@ -5,7 +5,6 @@
 //
 //   build/examples/epidemic_tracing [num_individuals] [ticks]
 //                                   [--batch_sources=K]
-//                                   [--traversal_threads=T]
 //                                   [--join_threads=J]
 //
 // Generates a random-waypoint population (GMSF-style, Bluetooth-range
@@ -16,11 +15,10 @@
 // (`ReachableSets`): K seeds share ONE frontier sweep, so a page both
 // waves need is read once, not once per seed. The sequential per-seed
 // loop runs first as the baseline and the dedup'd read savings are
-// printed. --traversal_threads=T additionally spreads each sweep's cell
-// fetch + decode across T frontier workers (answers are identical at any
-// K and T). --join_threads=J parallelizes the contact-extraction front
-// end feeding the pipeline (contacts identical at any J); its wall time
-// is printed next to the index build time.
+// printed (answers are identical at any K). --join_threads=J
+// parallelizes the contact-extraction front end feeding the pipeline
+// (contacts identical at any J); its wall time is printed next to the
+// index build time.
 
 #include <algorithm>
 #include <cstdio>
@@ -46,14 +44,11 @@ int main(int argc, char** argv) {
   int num_individuals = 800;
   Timestamp ticks = 600;
   int batch_sources = 4;
-  int traversal_threads = 1;
   int join_threads = 1;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--batch_sources=", 16) == 0) {
       batch_sources = std::atoi(argv[i] + 16);
-    } else if (std::strncmp(argv[i], "--traversal_threads=", 20) == 0) {
-      traversal_threads = std::atoi(argv[i] + 20);
     } else if (std::strncmp(argv[i], "--join_threads=", 15) == 0) {
       join_threads = std::atoi(argv[i] + 15);
     } else if (positional == 0) {
@@ -65,12 +60,10 @@ int main(int argc, char** argv) {
     }
   }
   if (batch_sources < 1) batch_sources = 1;
-  if (traversal_threads < 1) traversal_threads = 1;
   if (join_threads < 1) join_threads = 1;
   std::printf("Epidemic tracing: %d individuals, %d ticks (6 s each), "
-              "batch_sources=%d, traversal_threads=%d, join_threads=%d\n",
-              num_individuals, ticks, batch_sources, traversal_threads,
-              join_threads);
+              "batch_sources=%d, join_threads=%d\n",
+              num_individuals, ticks, batch_sources, join_threads);
 
   // GMSF-style population: 2 m/s average walkers in a district,
   // Bluetooth-range (25 m) contacts.
@@ -153,9 +146,7 @@ int main(int argc, char** argv) {
   }
 
   // Multi-source batch closure: groups of batch_sources seeds share one
-  // frontier sweep (and, at traversal_threads > 1, its cell fetch/decode
-  // is spread across frontier workers).
-  grid->SetTraversalThreads(traversal_threads);
+  // frontier sweep.
   double batch_io = 0;
   uint64_t batch_pages = 0;
   std::vector<std::vector<Timestamp>> batched(index_cases.size());

@@ -122,7 +122,7 @@ class PooledSession : public ReachabilityIndex {
 
  protected:
   /// A fresh session over the same index with this backend's own
-  /// settings (traversal, worker threads); `NewSession` adds the pool's.
+  /// settings (ReachGraph's traversal); `NewSession` adds the pool's.
   virtual std::unique_ptr<ReachabilityIndex> Fork() const = 0;
 
   std::shared_ptr<const Index> index_;
@@ -140,8 +140,7 @@ class ReachGridSession final : public PooledSession<ReachGridIndex> {
 
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
       const std::vector<ObjectId>& sources, TimeInterval interval) override {
-    return index_->ReachableSets(sources, interval, pool_.get(), &stats_,
-                                 frontier_.get());
+    return index_->ReachableSets(sources, interval, pool_.get(), &stats_);
   }
 
   Result<std::vector<ReachProfileEntry>> ConstrainedProfile(
@@ -149,16 +148,6 @@ class ReachGridSession final : public PooledSession<ReachGridIndex> {
       const HopConstraints& hops) override {
     return index_->ConstrainedProfile(source, interval, hops, pool_.get(),
                                       &stats_);
-  }
-
-  void SetTraversalThreads(int threads) override {
-    if (threads < 1) threads = 1;
-    if (threads == traversal_threads_) return;
-    traversal_threads_ = threads;
-    frontier_ = threads > 1 ? std::make_unique<FrontierPool>(threads)
-                            : nullptr;
-    // Frontier workers fetch through this session's pool concurrently.
-    pool_->set_thread_safe(threads > 1);
   }
 
   std::string DescribeIndex() const override {
@@ -170,13 +159,8 @@ class ReachGridSession final : public PooledSession<ReachGridIndex> {
 
  private:
   std::unique_ptr<ReachabilityIndex> Fork() const override {
-    auto session = std::make_unique<ReachGridSession>(index_);
-    session->SetTraversalThreads(traversal_threads_);
-    return session;
+    return std::make_unique<ReachGridSession>(index_);
   }
-
-  int traversal_threads_ = 1;
-  std::unique_ptr<FrontierPool> frontier_;
 };
 
 class ReachGraphSession final : public PooledSession<ReachGraphIndex> {

@@ -1,7 +1,6 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -120,7 +119,7 @@ class WorkerCache {
 /// answers into the caller's report, fills `stats` after any backend
 /// work and returns the item's status. Beyond that the loop is the same
 /// for every kind of item: it checks the codec, mints and configures one
-/// session per worker, lets workers claim items off an atomic counter,
+/// session per worker, hands worker k of T the items k, k+T, k+2T, …,
 /// times each item and folds everything but the reach tally into
 /// `summary`. Only setup errors fail the call; a failed item is one
 /// entry of `statuses` and the run keeps going.
@@ -158,7 +157,6 @@ Status Schedule(ReachabilityIndex* backend, const QueryEngineOptions& options,
   }
   for (ReachabilityIndex* session : sessions) {
     session->SetIoQueueDepth(options.io_queue_depth);
-    session->SetTraversalThreads(options.traversal_threads);
     session->SetMaxReadRetries(options.max_read_retries);
     session->SetDegradedServing(options.degraded_serving);
   }
@@ -176,10 +174,12 @@ Status Schedule(ReachabilityIndex* backend, const QueryEngineOptions& options,
   if (options.cold_cache) cache = nullptr;
   const uint64_t cache_hits_before = cache != nullptr ? cache->hits() : 0;
 
-  std::atomic<size_t> next{0};
-  auto work = [&](ReachabilityIndex* session) {
+  // Striped, not claimed off a shared counter: an item's session, and so
+  // the pages it finds warm, is fixed by its index alone.
+  auto work = [&](size_t worker) {
+    ReachabilityIndex* session = sessions[worker];
     WorkerCache worker_cache(cache, session);
-    for (size_t i = next.fetch_add(1); i < num_items; i = next.fetch_add(1)) {
+    for (size_t i = worker; i < num_items; i += num_threads) {
       if (options.cold_cache) session->ClearCache();
       Stopwatch latency;
       (*statuses)[i] = evaluate(i, session, &worker_cache, &(*stats)[i]);
@@ -189,12 +189,12 @@ Status Schedule(ReachabilityIndex* backend, const QueryEngineOptions& options,
 
   Stopwatch wall;
   if (num_threads == 1) {
-    work(sessions[0]);
+    work(0);
   } else {
     std::vector<std::thread> threads;
     threads.reserve(num_threads);
-    for (ReachabilityIndex* session : sessions) {
-      threads.emplace_back(work, session);
+    for (size_t worker = 0; worker < num_threads; ++worker) {
+      threads.emplace_back(work, worker);
     }
     for (std::thread& t : threads) t.join();
   }
@@ -204,7 +204,6 @@ Status Schedule(ReachabilityIndex* backend, const QueryEngineOptions& options,
   s.backend = backend->DescribeIndex();
   s.num_queries = num_units;
   s.io_queue_depth = options.io_queue_depth;
-  s.traversal_threads = std::max(options.traversal_threads, 1);
   s.batch_sources = static_cast<int>(per_item);
   s.page_codec = ToString(backend_codec.value_or(options.page_codec));
   s.wall_seconds = wall_seconds;
@@ -258,7 +257,7 @@ std::string WorkloadSummary::ToString() const {
       "%s: %llu queries (%llu reachable) in %.3fs | %.0f q/s | "
       "io/query=%.2f pages=%llu hits=%llu pool_hit_rate=%.1f%% | "
       "latency mean=%.0fus p50=%.0fus p95=%.0fus p99=%.0fus max=%.0fus | "
-      "cache_hits=%llu shards=%zu qd=%d tthreads=%d batch=%d "
+      "cache_hits=%llu shards=%zu qd=%d batch=%d "
       "inflight=%.2f codec=%s ratio=%.2f",
       backend.c_str(), static_cast<unsigned long long>(num_queries),
       static_cast<unsigned long long>(num_reachable), wall_seconds,
@@ -269,7 +268,7 @@ std::string WorkloadSummary::ToString() const {
       p95_latency * 1e6, p99_latency * 1e6, max_latency * 1e6,
       static_cast<unsigned long long>(result_cache_hits),
       per_shard_io.empty() ? static_cast<size_t>(1) : per_shard_io.size(),
-      io_queue_depth, traversal_threads, batch_sources,
+      io_queue_depth, batch_sources,
       mean_inflight_requests(), page_codec.c_str(), compression_ratio());
   std::string out = buf;
   // Family breakdown only when something beyond boolean ran: Run and

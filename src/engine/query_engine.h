@@ -52,14 +52,6 @@ struct QueryEngineOptions {
   /// trip it.
   PageCodecKind page_codec = PageCodecKind::kRaw;
 
-  /// Worker threads each session's closure sweeps may use for intra-query
-  /// frontier expansion (`ReachabilityIndex::SetTraversalThreads`; left
-  /// on the caller's session after the run), orthogonal to `num_threads`
-  /// (inter-query parallelism). 1 — the default — keeps every sweep on
-  /// its session's thread; backends without a parallel sweep ignore it.
-  /// Answers never depend on the setting.
-  int traversal_threads = 1;
-
   /// Sources per `ReachableSets` batch in `RunClosures`: consecutive
   /// groups of this many sources are evaluated as one shared-frontier
   /// sweep, deduplicating page fetches across the group's seeds. 1 — the
@@ -140,8 +132,6 @@ struct WorkloadSummary {
   /// IO submission-queue depth the run executed at (echo of the engine
   /// option actually applied to the sessions).
   int io_queue_depth = 1;
-  /// Intra-query traversal threads applied to the sessions (echo).
-  int traversal_threads = 1;
   /// Sources per closure batch (`RunClosures`; 1 for point-query runs).
   int batch_sources = 1;
   /// On-disk record codec the backend decoded with during this run (the
@@ -253,14 +243,17 @@ struct ClosureWorkloadReport {
 /// pages, in-memory directories) is shared read-only; every worker thread
 /// owns a private session — buffer pool, IO cursor, stats slot — created
 /// with `NewSession()` (worker 0 reuses the caller's). Each run applies
-/// `io_queue_depth`, `traversal_threads`, `max_read_retries` and
-/// `degraded_serving` to every worker session and never restores them,
-/// so the caller's session keeps the last run's settings. Threads claim
-/// queries (or closure batches) from a shared atomic counter, and results
-/// land in pre-sized slots, so no locks are held on the query path and
-/// answers are byte-identical to a sequential run. All three entry points
-/// share this one loop; they differ only in how one item is evaluated and
-/// how its answer is tallied.
+/// `io_queue_depth`, `max_read_retries` and `degraded_serving` to every
+/// worker session and never restores them, so the caller's session keeps
+/// the last run's settings. Of T workers, worker k evaluates items k,
+/// k+T, k+2T, … (queries, specs or closure batches), so which session —
+/// and which warm pool — serves an item never depends on thread timing.
+/// (With the result cache on, two workers can still race to compute the
+/// same key; which one pays for it is left to timing.) Results land in
+/// pre-sized slots, so no locks are held on the query path and answers
+/// are byte-identical to a sequential run. All three entry points share
+/// this one loop; they differ only in how one item is evaluated and how
+/// its answer is tallied.
 class QueryEngine {
  public:
   explicit QueryEngine(QueryEngineOptions options = {});
@@ -277,15 +270,14 @@ class QueryEngine {
   /// Runs a closure workload: the full reachable set of every source over
   /// `interval`. Sources are grouped into consecutive batches of
   /// `options().batch_sources` and each batch is one
-  /// `ReachableSets` call on a worker session (workers claim batches off
-  /// a shared counter; `cold_cache` clears the session pool before each
+  /// `ReachableSets` call on a worker session (worker k of T runs
+  /// batches k, k+T, …; `cold_cache` clears the session pool before each
   /// batch, so a batch's internal page reuse is the only warmth).
   /// Latency percentiles in the summary are per batch. Answers are
-  /// byte-identical for every num_threads / traversal_threads /
-  /// batch_sources combination. A batch whose sweep fails (surfaced
-  /// fault, NotSupported) records its error in `report.statuses[b]`, and
-  /// `summary.failed_queries` counts its sources; as in `Run`, only setup
-  /// errors fail the call itself.
+  /// byte-identical for every num_threads / batch_sources combination. A
+  /// batch whose sweep fails (surfaced fault, NotSupported) records its
+  /// error in `report.statuses[b]`, and `summary.failed_queries` counts
+  /// its sources; as in `Run`, only setup errors fail the call itself.
   Result<ClosureWorkloadReport> RunClosures(
       ReachabilityIndex* backend, const std::vector<ObjectId>& sources,
       TimeInterval interval) const;

@@ -82,11 +82,9 @@ class ReachabilityIndex {
                                 " does not evaluate constrained profiles");
   }
 
-  /// Worker threads a closure sweep on this session may use for its
-  /// per-round frontier expansion (`FrontierPool`). 1 — the default —
-  /// keeps every sweep on the calling thread; backends without a parallel
-  /// sweep ignore it. Answers never depend on the thread count. Sessions
-  /// minted by `NewSession()` inherit the setting.
+  /// Does nothing: every sweep runs on its session's thread. Kept only
+  /// because decorators outside the library override it; it goes with
+  /// the move to one session-options value.
   virtual void SetTraversalThreads(int threads) { (void)threads; }
 
   /// Cost metrics of the most recent Query/ReachableSet on this session.

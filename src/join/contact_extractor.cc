@@ -1,13 +1,13 @@
 #include "join/contact_extractor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
-#include "engine/parallel_frontier.h"
 
 namespace streach {
 
@@ -163,32 +163,26 @@ void ExtractContactsImpl(const TrajectoryStore& store, double dt,
         static_cast<Timestamp>(std::min<int64_t>(
             w.end, w.start + (c + 1) * chunk_ticks - 1)));
   }
+  // Each worker owns one joiner (grid scratch + cell list) and claims
+  // chunks off one shared counter; a chunk's runs land in its own slot.
   std::vector<std::vector<Run>> chunk_runs(chunks.size());
-  auto scan_chunk = [&](ProximityJoiner* joiner, size_t c) {
-    ScanWindow(store, joiner, chunks[c],
-               [&chunk_runs, c](ObjectId a, ObjectId b, Timestamp start,
-                                Timestamp end) {
-                 chunk_runs[c].push_back({a, b, start, end});
-               });
-  };
-  if (threads > 1) {
-    FrontierPool pool(std::min(threads, static_cast<int>(chunks.size())));
-    // One joiner (grid scratch + cell list) per worker, built lazily on
-    // that worker's first chunk and reused for the rest of its share.
-    std::vector<std::unique_ptr<ProximityJoiner>> joiners(
-        static_cast<size_t>(pool.num_threads()));
-    pool.ParallelFor(chunks.size(), [&](int worker, size_t begin,
-                                        size_t end) {
-      auto& joiner = joiners[static_cast<size_t>(worker)];
-      if (!joiner) {
-        joiner = std::make_unique<ProximityJoiner>(dt, extent);
-      }
-      for (size_t c = begin; c < end; ++c) scan_chunk(joiner.get(), c);
-    });
-  } else {
+  std::atomic<size_t> next_chunk{0};
+  auto scan_chunks = [&]() {
     ProximityJoiner joiner(dt, extent);
-    for (size_t c = 0; c < chunks.size(); ++c) scan_chunk(&joiner, c);
-  }
+    for (size_t c = next_chunk++; c < chunks.size(); c = next_chunk++) {
+      ScanWindow(store, &joiner, chunks[c],
+                 [&chunk_runs, c](ObjectId a, ObjectId b, Timestamp start,
+                                  Timestamp end) {
+                   chunk_runs[c].push_back({a, b, start, end});
+                 });
+    }
+  };
+  const size_t workers = std::min(static_cast<size_t>(threads), chunks.size());
+  std::vector<std::thread> helpers;
+  helpers.reserve(workers - 1);
+  for (size_t k = 1; k < workers; ++k) helpers.emplace_back(scan_chunks);
+  scan_chunks();  // The caller is the first worker.
+  for (std::thread& helper : helpers) helper.join();
 
   // 2. Stitch, in time order: a run ending exactly on a chunk's last
   // tick continues iff the same pair has a run starting on the next

@@ -52,6 +52,78 @@ int64_t SeedCellKey(const Point& p, double dt) {
                               (static_cast<uint64_t>(cy) & 0xFFFFFFFFu));
 }
 
+/// \brief Per-source reach bits, one fixed-width row per object.
+///
+/// The multi-source closure's core bookkeeping: row `item` holds one bit
+/// per batch source, set when that source's infection has reached the
+/// item. Rows are dense `uint64_t` words, so merging a discovery mask is
+/// a handful of ORs and "which sources are new" falls out of the same
+/// pass.
+class SourceBitSlab {
+ public:
+  SourceBitSlab(size_t items, size_t sources)
+      : sources_(sources),
+        words_(sources == 0 ? 1 : (sources + 63) / 64),
+        slab_(items * words_, 0) {}
+
+  size_t words_per_item() const { return words_; }
+
+  uint64_t* row(size_t item) { return slab_.data() + item * words_; }
+  const uint64_t* row(size_t item) const {
+    return slab_.data() + item * words_;
+  }
+
+  bool any(size_t item) const {
+    const uint64_t* r = row(item);
+    for (size_t w = 0; w < words_; ++w) {
+      if (r[w] != 0) return true;
+    }
+    return false;
+  }
+
+  /// True when every source bit of `item` is set (nothing left to learn).
+  bool saturated(size_t item) const {
+    const uint64_t* r = row(item);
+    for (size_t w = 0; w < words_; ++w) {
+      uint64_t full = ~0ull;
+      const size_t bits_here =
+          (w + 1) * 64 <= sources_ ? 64 : sources_ - w * 64;
+      if (bits_here < 64) full = (1ull << bits_here) - 1;
+      if ((r[w] & full) != full) return false;
+    }
+    return true;
+  }
+
+  void set(size_t item, size_t source) {
+    row(item)[source >> 6] |= 1ull << (source & 63);
+  }
+
+  /// ORs `mask` (words_per_item words) into `item`'s row.
+  void Merge(size_t item, const uint64_t* mask) {
+    uint64_t* r = row(item);
+    for (size_t w = 0; w < words_; ++w) r[w] |= mask[w];
+  }
+
+  /// Calls `fn(source)` for every set bit in `mask` (words_per_item
+  /// words), ascending.
+  template <typename Fn>
+  void ForEachSet(const uint64_t* mask, Fn fn) const {
+    for (size_t w = 0; w < words_; ++w) {
+      uint64_t bits = mask[w];
+      while (bits != 0) {
+        const int b = __builtin_ctzll(bits);
+        fn(w * 64 + static_cast<size_t>(b));
+        bits &= bits - 1;
+      }
+    }
+  }
+
+ private:
+  size_t sources_;
+  size_t words_;
+  std::vector<uint64_t> slab_;
+};
+
 }  // namespace
 
 Result<std::unique_ptr<ReachGridIndex>> ReachGridIndex::Build(
@@ -321,60 +393,25 @@ Status ReachGridIndex::FetchCells(std::vector<CellId> cells,
     auto it = directory.find(cell);
     if (it != directory.end()) extents.push_back(it->second);  // Non-empty.
   }
-  // Each worker reads its chunk of the batch through the pool (thread-safe
-  // whenever a frontier is attached) and decodes it — the CPU cost that
-  // dominates compressed sweeps. Objects merge on the caller afterwards;
-  // an object stored in several cells carries identical positions in
-  // each (every cell holds its whole bucket segment), so keep-first
-  // merging is order-insensitive.
-  const int workers =
-      ctx->frontier != nullptr ? ctx->frontier->num_threads() : 1;
-  std::vector<std::unordered_map<ObjectId, BucketPositions>> parsed(
-      static_cast<size_t>(workers));
-  std::vector<Status> worker_status(static_cast<size_t>(workers));
-  auto process_chunk = [&](int worker, size_t begin, size_t end) {
-    auto& status = worker_status[static_cast<size_t>(worker)];
-    if (!status.ok()) return;
-    std::vector<Extent> chunk(extents.begin() + static_cast<ptrdiff_t>(begin),
-                              extents.begin() + static_cast<ptrdiff_t>(end));
-    auto blobs = ReadExtentsBatched(ctx->pool, chunk, options_.page_size);
-    if (!blobs.ok()) {
-      status = blobs.status();
-      return;
-    }
-    for (const std::string& blob : *blobs) {
-      status = DecodeCellRecord(blob, *ctx,
-                                &parsed[static_cast<size_t>(worker)]);
-      if (!status.ok()) return;
-    }
-  };
-  // Below the threshold the worker wakeup costs more than the fetch; a
-  // small step stays on the caller (identical result either way).
-  if (workers > 1 && extents.size() >= kParallelFetchMinExtents) {
-    ctx->frontier->ParallelFor(extents.size(), process_chunk);
-  } else if (!extents.empty()) {
-    process_chunk(0, 0, extents.size());
+  auto blobs = ReadExtentsBatched(ctx->pool, extents, options_.page_size);
+  if (!blobs.ok()) return blobs.status();
+  for (const std::string& blob : *blobs) {
+    STREACH_RETURN_NOT_OK(DecodeCellRecord(blob, ctx));
   }
-  for (const Status& status : worker_status) {
-    STREACH_RETURN_NOT_OK(status);
-  }
-  for (auto& worker_out : parsed) ctx->objects.merge(worker_out);
   ctx->scope->AddItemsVisited(cells.size());
   return Status::OK();
 }
 
-Status ReachGridIndex::DecodeCellRecord(
-    const std::string& blob, const BucketContext& ctx,
-    std::unordered_map<ObjectId, BucketPositions>* out) const {
+Status ReachGridIndex::DecodeCellRecord(const std::string& blob,
+                                        BucketContext* ctx) const {
   Decoder dec(blob);
   auto count = dec.GetVarint();
   if (!count.ok()) return count.status();
-  const auto ticks = static_cast<size_t>(ctx.interval.length());
+  const auto ticks = static_cast<size_t>(ctx->interval.length());
   for (uint64_t i = 0; i < *count; ++i) {
     auto object = dec.GetU32();
     if (!object.ok()) return object.status();
-    const bool known =
-        ctx.objects.count(*object) != 0 || out->count(*object) != 0;
+    const bool known = ctx->objects.count(*object) != 0;
     BucketPositions positions;
     if (!known) positions.reserve(ticks);
     for (size_t j = 0; j < ticks; ++j) {
@@ -383,7 +420,7 @@ Status ReachGridIndex::DecodeCellRecord(
       if (!x.ok() || !y.ok()) return Status::Corruption("cell positions");
       if (!known) positions.emplace_back(*x, *y);
     }
-    if (!known) out->emplace(*object, std::move(positions));
+    if (!known) ctx->objects.emplace(*object, std::move(positions));
   }
   return Status::OK();
 }
@@ -421,23 +458,20 @@ Result<ReachAnswer> ReachGridIndex::Query(const ReachQuery& query,
     return SelfQueryAnswer(query.interval.Intersect(span_));
   }
   auto sets = MultiSweep({query.source}, query.interval, query.destination,
-                         pool, stats, /*frontier=*/nullptr);
+                         pool, stats);
   if (!sets.ok()) return sets.status();
   return AnswerFromSet((*sets)[0], query.destination);
 }
 
 Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::ReachableSets(
     const std::vector<ObjectId>& sources, TimeInterval interval,
-    BufferPool* pool, QueryStats* stats, FrontierPool* frontier) const {
-  return MultiSweep(sources, interval, kInvalidObject, pool, stats, frontier);
+    BufferPool* pool, QueryStats* stats) const {
+  return MultiSweep(sources, interval, kInvalidObject, pool, stats);
 }
 
 Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
     const std::vector<ObjectId>& sources, TimeInterval interval,
-    ObjectId destination, BufferPool* pool, QueryStats* stats,
-    FrontierPool* frontier) const {
-  const int workers = frontier != nullptr ? frontier->num_threads() : 1;
-  if (workers > 1) pool->set_thread_safe(true);
+    ObjectId destination, BufferPool* pool, QueryStats* stats) const {
   QueryScope scope(pool, stats);
   const size_t num_sources = sources.size();
   std::vector<std::vector<Timestamp>> sets(
@@ -463,29 +497,17 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
   const double dt = options_.contact_range;
   const double dt_sq = dt * dt;
 
-  // Round-scoped scratch, allocated once for the whole sweep: the claim
-  // bitmap, the per-object discovery masks (written only by the claiming
-  // worker), and the per-worker discovery queues.
-  AtomicBitmap discovered(num_objects_);
-  std::vector<uint64_t> staging(num_objects_ * words, 0);
-  LocalQueues<ObjectId> queues(workers);
-  // Small rounds stay on the caller: below the threshold the worker
-  // wakeup costs more than the scan (the result is identical either way,
-  // so this is purely a 1-core/tiny-round overhead guard).
-  auto parallel_for =
-      [&](size_t n, const std::function<void(int, size_t, size_t)>& body) {
-        if (frontier != nullptr && n >= kParallelScanMinObjects) {
-          frontier->ParallelFor(n, body);
-        } else if (n > 0) {
-          body(0, 0, n);
-        }
-      };
+  // Round-scoped scratch, reused for the whole sweep: the round's
+  // discoveries, ascending, and the source bits each one acquired
+  // (`words` per discovery).
+  std::vector<ObjectId> found;
+  std::vector<uint64_t> found_bits;
+  std::vector<uint64_t> acquired(words);
 
   const int first_bucket = BucketOf(w.start);
   const int last_bucket = BucketOf(w.end);
   for (int bucket = first_bucket; bucket <= last_bucket; ++bucket) {
-    BucketContext ctx(bucket, BucketInterval(bucket), w, pool, frontier,
-                      &scope);
+    BucketContext ctx(bucket, BucketInterval(bucket), w, pool, &scope);
     const TimeInterval bw = ctx.window;
     {
       // Every object any source has reached so far enters the bucket as a
@@ -499,8 +521,8 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
       STREACH_RETURN_NOT_OK(AdmitSeeds(batch, bw.start, &ctx));
     }
 
-    // Sorted snapshot of the fetched objects, rebuilt when admissions grow
-    // the map (values are pointer-stable across rehash).
+    // Snapshot of the fetched objects in ascending id order, rebuilt when
+    // admissions grow the map (values are pointer-stable across rehash).
     std::vector<std::pair<ObjectId, const BucketPositions*>> object_list;
     auto refresh_object_list = [&]() {
       if (object_list.size() == ctx.objects.size()) return;
@@ -527,8 +549,6 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
       while (changed) {
         changed = false;
         refresh_object_list();
-        // Build the round's seed hash sequentially; the parallel phase
-        // below only reads it (and the bit rows it points into).
         seed_hash.clear();
         for (const auto& [o, positions] : object_list) {
           if (!bits.any(o)) continue;
@@ -536,66 +556,55 @@ Result<std::vector<std::vector<Timestamp>>> ReachGridIndex::MultiSweep(
               (*positions)[static_cast<size_t>(t - ctx.interval.start)];
           seed_hash[SeedCellKey(ps, dt)].push_back(SeedRef{ps, bits.row(o)});
         }
-        // Parallel candidate scan: each object gathers the bits of every
-        // seed within dT; the claim bitmap hands the discovery to exactly
-        // one worker, which parks the new bits in the object's staging
-        // row and queues the object locally.
-        parallel_for(
-            object_list.size(), [&](int worker, size_t begin, size_t end) {
-              std::vector<uint64_t> acquired(words);
-              for (size_t idx = begin; idx < end; ++idx) {
-                const ObjectId o = object_list[idx].first;
-                if (bits.saturated(o)) continue;  // Nothing left to learn.
-                const Point& po = (*object_list[idx].second)[
-                    static_cast<size_t>(t - ctx.interval.start)];
-                std::fill(acquired.begin(), acquired.end(), 0);
-                bool near_seed = false;
-                for (int dx = -1; dx <= 1; ++dx) {
-                  for (int dy = -1; dy <= 1; ++dy) {
-                    auto it = seed_hash.find(SeedCellKey(
-                        Point(po.x + dx * dt, po.y + dy * dt), dt));
-                    if (it == seed_hash.end()) continue;
-                    for (const SeedRef& seed : it->second) {
-                      if (Point::DistanceSquared(po, seed.pos) < dt_sq) {
-                        for (size_t w2 = 0; w2 < words; ++w2) {
-                          acquired[w2] |= seed.row[w2];
-                        }
-                        near_seed = true;
-                      }
-                    }
+        // Candidate scan: each object gathers the bits of every seed within
+        // dT. The rows stay untouched until the round ends, so every
+        // object of the round sees the same reach.
+        found.clear();
+        found_bits.clear();
+        for (const auto& [o, positions] : object_list) {
+          if (bits.saturated(o)) continue;  // Nothing left to learn.
+          const Point& po =
+              (*positions)[static_cast<size_t>(t - ctx.interval.start)];
+          std::fill(acquired.begin(), acquired.end(), 0);
+          bool near_seed = false;
+          for (int dx = -1; dx <= 1; ++dx) {
+            for (int dy = -1; dy <= 1; ++dy) {
+              auto it = seed_hash.find(
+                  SeedCellKey(Point(po.x + dx * dt, po.y + dy * dt), dt));
+              if (it == seed_hash.end()) continue;
+              for (const SeedRef& seed : it->second) {
+                if (Point::DistanceSquared(po, seed.pos) < dt_sq) {
+                  for (size_t w2 = 0; w2 < words; ++w2) {
+                    acquired[w2] |= seed.row[w2];
                   }
-                }
-                if (!near_seed) continue;
-                const uint64_t* mine = bits.row(o);
-                bool fresh = false;
-                for (size_t w2 = 0; w2 < words; ++w2) {
-                  acquired[w2] &= ~mine[w2];
-                  fresh = fresh || acquired[w2] != 0;
-                }
-                if (!fresh) continue;
-                if (discovered.TestAndSet(o)) {
-                  std::copy(acquired.begin(), acquired.end(),
-                            staging.begin() + static_cast<size_t>(o) * words);
-                  queues.Push(worker, o);
+                  near_seed = true;
                 }
               }
-            });
-        // Sorted merge on the caller: identical round outcomes at every
-        // worker count; new bits spread in the next round of the same
-        // tick.
-        std::vector<ObjectId> found = queues.Drain();
+            }
+          }
+          if (!near_seed) continue;
+          const uint64_t* mine = bits.row(o);
+          bool fresh = false;
+          for (size_t w2 = 0; w2 < words; ++w2) {
+            acquired[w2] &= ~mine[w2];
+            fresh = fresh || acquired[w2] != 0;
+          }
+          if (!fresh) continue;
+          found.push_back(o);
+          found_bits.insert(found_bits.end(), acquired.begin(), acquired.end());
+        }
         if (found.empty()) continue;
-        std::sort(found.begin(), found.end());
+        // The round's discoveries take effect together; new bits spread in
+        // the next round of the same tick.
         std::vector<ObjectId> admissions;
-        for (ObjectId o : found) {
-          uint64_t* mask = staging.data() + static_cast<size_t>(o) * words;
+        for (size_t k = 0; k < found.size(); ++k) {
+          const ObjectId o = found[k];
+          const uint64_t* mask = found_bits.data() + k * words;
           const bool first_reach = !bits.any(o);
           bits.ForEachSet(mask, [&](size_t si) { sets[si][o] = t; });
           bits.Merge(o, mask);
-          std::fill(mask, mask + words, 0);
           if (first_reach) admissions.push_back(o);
         }
-        discovered.Reset();
         // Algorithm 1's early exit: the round that reaches the destination
         // ends the sweep before its discoveries are admitted.
         if (std::binary_search(found.begin(), found.end(), destination)) {
@@ -653,8 +662,7 @@ Status ReachGridIndex::LevelSweep(const std::vector<Timestamp>& prev,
   const int first_bucket = BucketOf(w.start);
   const int last_bucket = BucketOf(w.end);
   for (int bucket = first_bucket; bucket <= last_bucket; ++bucket) {
-    BucketContext ctx(bucket, BucketInterval(bucket), w, pool,
-                      /*frontier=*/nullptr, scope);
+    BucketContext ctx(bucket, BucketInterval(bucket), w, pool, scope);
     const TimeInterval bw = ctx.window;
 
     // Carriers whose transmission window touches this bucket enter like

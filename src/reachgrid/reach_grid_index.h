@@ -9,7 +9,6 @@
 #include "common/query_stats.h"
 #include "common/result.h"
 #include "common/types.h"
-#include "engine/parallel_frontier.h"
 #include "spatial/grid2d.h"
 #include "storage/block_device.h"
 #include "storage/block_file.h"
@@ -88,14 +87,12 @@ class ReachGridIndex {
   /// from `sources[i]` during `interval` with its infection time
   /// (kInvalidTime for unreached objects), and the whole batch is ONE
   /// shared-frontier sweep run to the end of the window — per-source
-  /// reach lives in a bitset slab, every cell record is fetched once no
-  /// matter how many seeds need it, and each chaining round's contact
-  /// tests fan out over `frontier` (null or 1 thread: the identical
-  /// sequential rounds). A singleton batch on one thread is the sweep
-  /// `Query` runs, page for page, minus the early exit.
+  /// reach lives in a bitset slab and every cell record is fetched once no
+  /// matter how many seeds need it. A singleton batch is the sweep `Query`
+  /// runs, page for page, minus the early exit.
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
       const std::vector<ObjectId>& sources, TimeInterval interval,
-      BufferPool* pool, QueryStats* stats, FrontierPool* frontier) const;
+      BufferPool* pool, QueryStats* stats) const;
 
   /// Constrained reachability profile (network/hop_profile.h semantics):
   /// each transfer level runs as one guided bucket sweep. The level's
@@ -152,12 +149,11 @@ class ReachGridIndex {
   /// through.
   struct BucketContext {
     BucketContext(int b, TimeInterval bucket_interval, TimeInterval w,
-                  BufferPool* p, FrontierPool* f, QueryScope* s)
+                  BufferPool* p, QueryScope* s)
         : bucket(b),
           interval(bucket_interval),
           window(bucket_interval.Intersect(w)),
           pool(p),
-          frontier(f),
           scope(s) {}
 
     const Point& PositionOf(ObjectId o, Timestamp t) const {
@@ -168,7 +164,6 @@ class ReachGridIndex {
     TimeInterval interval;  // Full bucket interval.
     TimeInterval window;    // `interval` clipped to the query window.
     BufferPool* pool;
-    FrontierPool* frontier;  // Null: every fetch runs on the caller.
     QueryScope* scope;
     std::unordered_map<ObjectId, BucketPositions> objects;
     std::unordered_map<CellId, bool> fetched_cells;
@@ -178,17 +173,12 @@ class ReachGridIndex {
   /// not-yet-fetched non-empty ones go out in ascending id order — the
   /// §4.1 on-disk order — as one `ReadExtentsBatched` call, so the
   /// per-shard queues see the whole expansion step at any queue depth.
-  /// With a frontier and a large step the batch is split across its
-  /// workers, which read and decode their chunks in parallel; the parsed
-  /// objects merge deterministically afterwards.
   Status FetchCells(std::vector<CellId> cells, BucketContext* ctx) const;
 
-  /// Decodes one cell record into `out`, skipping objects already present
-  /// in `ctx` or `out` (`ctx` is only read — safe to call from parallel
-  /// workers while the merge is deferred).
-  Status DecodeCellRecord(
-      const std::string& blob, const BucketContext& ctx,
-      std::unordered_map<ObjectId, BucketPositions>* out) const;
+  /// Decodes one cell record into `ctx->objects`, keeping the first copy
+  /// of each object: an object stored in several cells carries its whole
+  /// bucket segment in each.
+  Status DecodeCellRecord(const std::string& blob, BucketContext* ctx) const;
 
   /// Brings `batch` into the bucket as Algorithm 1 seeds from tick
   /// `from`: locates their cells (one locator batch), fetches those
@@ -214,17 +204,17 @@ class ReachGridIndex {
 
   /// The one closure sweep, behind `Query` and `ReachableSets`:
   /// Algorithm 1 over a whole batch, one pass over the buckets with
-  /// per-source reach bits. Each tick's contact rounds run as ParallelFor
-  /// loops over the fetched objects and merge their discoveries in sorted
-  /// order, so the answers are identical at every worker count. A `destination` other than kInvalidObject stops the
-  /// sweep after the first round that reaches it, before that round's
-  /// discoveries are admitted (Algorithm 1's early exit); the sets then
-  /// hold the reach found so far. All traversal state lives on the stack
-  /// or in the caller's pool — re-entrant and const.
+  /// per-source reach bits. Each contact round of a tick scans the fetched
+  /// objects in ascending id order against the previous round's reach,
+  /// and the round's discoveries take effect together when it ends. A
+  /// `destination` other than kInvalidObject stops the sweep after the
+  /// first round that reaches it, before that round's discoveries are
+  /// admitted (Algorithm 1's early exit); the sets then hold the reach
+  /// found so far. All traversal state lives on the stack or in the
+  /// caller's pool — re-entrant and const.
   Result<std::vector<std::vector<Timestamp>>> MultiSweep(
       const std::vector<ObjectId>& sources, TimeInterval interval,
-      ObjectId destination, BufferPool* pool, QueryStats* stats,
-      FrontierPool* frontier) const;
+      ObjectId destination, BufferPool* pool, QueryStats* stats) const;
 
   ReachGridOptions options_;
   StorageTopology topology_;
@@ -243,11 +233,6 @@ class ReachGridIndex {
   // decodes a constant number of bytes (§4.2's constant-IO contract),
   // large enough that U32Delta still squeezes the per-block run.
   static constexpr size_t kLocatorBlockEntries = 256;
-  /// Work-size floors below which a frontier step runs on the calling
-  /// thread instead of fanning out: waking the pool costs more than a
-  /// small fetch/scan. Answers are identical on both paths.
-  static constexpr size_t kParallelFetchMinExtents = 32;
-  static constexpr size_t kParallelScanMinObjects = 256;
   // Non-raw codecs store the locator as fixed-span blocks of
   // kLocatorBlockEntries entries; this skip table maps block index ->
   // extent so a probe decodes exactly one block instead of the table.

@@ -24,21 +24,19 @@ BufferPool::BufferPool(const StorageTopology* topology, size_t capacity_pages)
 
 Result<PageRef> BufferPool::Fetch(PageId id) {
   PageRef ref;
-  auto lock = MaybeLock();
-  STREACH_RETURN_NOT_OK(FetchBatchLocked(&id, 1, &ref));
+  STREACH_RETURN_NOT_OK(FetchInto(&id, 1, &ref));
   return ref;
 }
 
 Result<std::vector<PageRef>> BufferPool::FetchBatch(
     const std::vector<PageId>& ids) {
   std::vector<PageRef> refs(ids.size());
-  auto lock = MaybeLock();
-  STREACH_RETURN_NOT_OK(FetchBatchLocked(ids.data(), ids.size(), refs.data()));
+  STREACH_RETURN_NOT_OK(FetchInto(ids.data(), ids.size(), refs.data()));
   return refs;
 }
 
-Status BufferPool::FetchBatchLocked(const PageId* ids, size_t count,
-                                    PageRef* refs) {
+Status BufferPool::FetchInto(const PageId* ids, size_t count,
+                             PageRef* refs) {
   // Pass 1 — serve hits and dedup the misses. A repeated missing id
   // counts one miss plus hits: one device read serves every occurrence.
   std::vector<PageId> missing;  // Unique, first-occurrence order.
@@ -156,7 +154,6 @@ void BufferPool::set_page_codec(const PageCodec* codec) {
 }
 
 void BufferPool::set_decoded_cache_capacity(size_t bytes) {
-  auto lock = MaybeLock();
   decoded_capacity_ = bytes;
   EvictDecodedDownTo(decoded_capacity_);
 }
@@ -173,7 +170,6 @@ void BufferPool::EvictDecodedDownTo(size_t budget) {
 
 std::shared_ptr<const std::string> BufferPool::LookupDecodedRecord(
     const Extent& extent) {
-  auto lock = MaybeLock();
   auto it = decoded_.find(DecodedKey{extent.first_page, extent.offset_in_page});
   if (it == decoded_.end()) {
     ++decoded_misses_;
@@ -189,7 +185,6 @@ std::shared_ptr<const std::string> BufferPool::LookupDecodedRecord(
 void BufferPool::InsertDecodedRecord(
     const Extent& extent, std::shared_ptr<const std::string> record) {
   STREACH_CHECK(record != nullptr);
-  auto lock = MaybeLock();
   if (record->size() > decoded_capacity_) return;  // Never fits; serve only.
   const DecodedKey key{extent.first_page, extent.offset_in_page};
   // A batch holding the same extent twice decodes it twice; keep the
@@ -204,13 +199,11 @@ void BufferPool::InsertDecodedRecord(
 void BufferPool::AccountDecode(uint32_t shard, uint64_t encoded_bytes,
                                uint64_t decoded_bytes) {
   STREACH_CHECK_LT(shard, cursors_.size());
-  auto lock = MaybeLock();
   cursors_[shard].stats.encoded_bytes += encoded_bytes;
   cursors_[shard].stats.decoded_bytes += decoded_bytes;
 }
 
 void BufferPool::Clear() {
-  auto lock = MaybeLock();
   lru_.clear();
   entries_.clear();
   decoded_lru_.clear();

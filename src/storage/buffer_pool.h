@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -112,25 +111,6 @@ class BufferPool {
   /// behavior, and fault-free runs never enter the loop.
   void set_max_read_retries(int retries);
   int max_read_retries() const { return max_read_retries_; }
-
-  /// \name Concurrent-fetch mode
-  ///
-  /// A parallel frontier sweep fans one session's expansion step across
-  /// several worker threads, each fetching its own slice of the step's
-  /// pages through the SAME pool (that is what makes the dedup shared).
-  /// Enabling thread-safe mode guards every mutating entry point —
-  /// Fetch/FetchBatch, the decoded-record cache, Clear — with an internal
-  /// mutex, so concurrent workers serialize per call instead of
-  /// corrupting the LRU. Accounting totals per call are unchanged; only
-  /// the interleaving of installs (and therefore, at > 1 worker, the
-  /// run-to-run eviction order) varies. Off by default: the unlocked
-  /// single-caller pool, bit-identical to the historical behavior.
-  /// Accessors (hits/misses/io_stats) stay unguarded — read them only
-  /// while no worker is fetching, which is when sweeps read them.
-  /// @{
-  void set_thread_safe(bool on) { thread_safe_ = on; }
-  bool thread_safe() const { return thread_safe_; }
-  /// @}
 
   /// \name Page codec & decoded-record cache
   ///
@@ -259,16 +239,9 @@ class BufferPool {
     std::list<DecodedKey>::iterator lru_it;
   };
 
-  /// Lock-free body of Fetch and FetchBatch (they wrap it in the
-  /// thread-safe-mode mutex): fetches `ids[0..count)` into `refs[i]`.
-  Status FetchBatchLocked(const PageId* ids, size_t count, PageRef* refs);
-
-  /// Acquires `mu_` only in thread-safe mode.
-  std::unique_lock<std::mutex> MaybeLock() const {
-    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-    if (thread_safe_) lock.lock();
-    return lock;
-  }
+  /// Body of Fetch and FetchBatch: fetches `ids[0..count)` into
+  /// `refs[i]`.
+  Status FetchInto(const PageId* ids, size_t count, PageRef* refs);
 
   /// Evicts decoded records LRU-first until at most `budget` bytes stay.
   void EvictDecodedDownTo(size_t budget);
@@ -278,8 +251,6 @@ class BufferPool {
   size_t capacity_;
   int io_queue_depth_ = 1;
   int max_read_retries_ = 0;
-  bool thread_safe_ = false;
-  mutable std::mutex mu_;  // Guards all mutable state in thread-safe mode.
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   std::vector<ReadCursor> cursors_;  // One per shard.

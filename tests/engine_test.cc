@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "engine/query_engine.h"
 #include "engine/reachability_index.h"
 #include "engine/result_cache.h"
+#include "generators/datasets.h"
 #include "generators/random_waypoint.h"
 #include "generators/workload.h"
 #include "join/contact_extractor.h"
@@ -355,6 +357,49 @@ TEST_F(EngineTest, ParallelRunIsByteIdenticalToSequentialRun) {
     EXPECT_EQ(par->per_query.size(), queries.size());
     EXPECT_FALSE(s.ToString().empty());
   }
+}
+
+TEST_F(EngineTest, MultiThreadClosuresReadTheSamePages) {
+  // Worker 0 serves its items from the caller's warm pool, worker 1 from
+  // a session minted fresh for the run, so the pages a multi-thread run
+  // reads depend on which worker serves which item. The engine picks an
+  // item's worker by the item's index alone, so the same job sequence on
+  // a fresh caller session must read the same pages on every repetition.
+  auto dataset = MakeRwpDataset(DatasetScale::kSmall, /*duration=*/300);
+  ASSERT_TRUE(dataset.ok());
+  ReachGridOptions grid_options;
+  grid_options.spatial_cell_size = 1024.0;
+  grid_options.contact_range = dataset->contact_range;
+  grid_options.buffer_pool_pages = 64;  // Small enough to evict.
+  auto grid = ReachGridIndex::Build(dataset->store, grid_options);
+  ASSERT_TRUE(grid.ok());
+  auto backend = MakeReachGridBackend(std::move(*grid));
+  QueryEngineOptions options;
+  options.num_threads = 2;
+  const QueryEngine engine(options);
+  const size_t num_objects = dataset->num_objects();
+  std::set<uint64_t> page_totals;
+  for (int rep = 0; rep < 8; ++rep) {
+    auto caller = backend->NewSession();
+    uint64_t pages = 0;
+    for (int job = 0; job < 6; ++job) {
+      std::vector<ObjectId> sources;
+      for (int k = 0; k < 8; ++k) {
+        sources.push_back(static_cast<ObjectId>((job * 8 + k) * 37 %
+                                                num_objects));
+      }
+      const auto start = static_cast<Timestamp>(job * 50);
+      auto report = engine.RunClosures(caller.get(), sources,
+                                       TimeInterval(start, start + 40));
+      ASSERT_TRUE(report.ok());
+      ASSERT_EQ(report->summary.failed_queries, 0u);
+      pages += report->summary.total_pages_fetched;
+    }
+    page_totals.insert(pages);
+  }
+  EXPECT_EQ(page_totals.size(), 1u)
+      << "page totals per repetition: "
+      << ::testing::PrintToString(page_totals);
 }
 
 TEST_F(EngineTest, ReachableSetMatchesBruteForceClosure) {

@@ -4,12 +4,12 @@
 // `ReachableSets(sources, interval)[i]` is byte-identical to
 // `ReachableSet(sources[i], interval)` and to the brute-force closure —
 // the batch changes the IO bill, never the answers. Swept here:
-// shards {1,4} x codec {raw,delta-varint} x traversal_threads {1,4} x
-// io_queue_depth {1,8}, plus the engine's RunClosures across
-// num_threads / batch_sources, the read-dedup guarantee (a batch reads
-// strictly fewer pages than the per-source loop), and the one-sweep
-// contract (ReachableSet and a singleton batch at one traversal thread
-// run the same sweep, page for page, on every disk backend).
+// shards {1,4} x codec {raw,delta-varint} x io_queue_depth {1,8}, plus
+// the engine's RunClosures across num_threads / batch_sources, the
+// read-dedup guarantee (a batch reads strictly fewer pages than the
+// per-source loop), and the one-sweep contract (ReachableSet and a
+// singleton batch run the same sweep, page for page, on every disk
+// backend).
 
 #include <gtest/gtest.h>
 
@@ -187,17 +187,13 @@ TEST_F(MultiSourceTest, ReachGridBatchMatchesEverywhere) {
   for (int shards : {1, 4}) {
     for (PageCodecKind codec :
          {PageCodecKind::kRaw, PageCodecKind::kDeltaVarint}) {
-      for (int tthreads : {1, 4}) {
-        for (int depth : {1, 8}) {
-          auto backend = MakeReachGridBackend(Grid(shards, codec));
-          backend->SetIoQueueDepth(depth);
-          backend->SetTraversalThreads(tthreads);
-          ExpectBatchMatches(
-              backend.get(), expected, sources, Window(),
-              "grid shards=" + std::to_string(shards) + " codec=" +
-                  ToString(codec) + " tthreads=" + std::to_string(tthreads) +
-                  " depth=" + std::to_string(depth));
-        }
+      for (int depth : {1, 8}) {
+        auto backend = MakeReachGridBackend(Grid(shards, codec));
+        backend->SetIoQueueDepth(depth);
+        ExpectBatchMatches(
+            backend.get(), expected, sources, Window(),
+            "grid shards=" + std::to_string(shards) + " codec=" +
+                ToString(codec) + " depth=" + std::to_string(depth));
       }
     }
   }
@@ -265,8 +261,8 @@ TEST_F(MultiSourceTest, BatchesWithMoreThan64SourcesSpanLaneChunks) {
 
 TEST_F(MultiSourceTest, SingletonBatchReplaysSingleSourcePageSequence) {
   // The one-sweep contract: ReachableSet is the interface's one-source
-  // ReachableSets, so at one traversal thread the two run the same sweep
-  // on every disk backend — identical answers AND identical IO profile.
+  // ReachableSets, so the two run the same sweep on every disk backend —
+  // identical answers AND identical IO profile.
   auto grid = MakeReachGridBackend(Grid(1, PageCodecKind::kRaw));
   auto graph = MakeReachGraphBackend(Graph(1, PageCodecKind::kRaw),
                                      ReachGraphTraversal::kBmBfs);
@@ -328,34 +324,30 @@ TEST_F(MultiSourceTest, EngineRunClosuresIdenticalAcrossAllKnobs) {
   uint64_t pages_at_batch1 = 0;
   for (int num_threads : {1, 2}) {
     for (int batch : {1, 4}) {
-      for (int tthreads : {1, 4}) {
-        QueryEngineOptions options;
-        options.num_threads = num_threads;
-        options.cold_cache = true;
-        options.batch_sources = batch;
-        options.traversal_threads = tthreads;
-        const QueryEngine engine(options);
-        auto report = engine.RunClosures(backend.get(), sources, Window());
-        ASSERT_TRUE(report.ok());
-        ASSERT_EQ(report->summary.failed_queries, 0u);
-        for (size_t i = 0; i < sources.size(); ++i) {
-          ASSERT_EQ(report->sets[i], expected[i])
-              << "threads=" << num_threads << " batch=" << batch
-              << " tthreads=" << tthreads << " source=" << sources[i];
-        }
-        EXPECT_EQ(report->summary.batch_sources, batch);
-        EXPECT_EQ(report->summary.traversal_threads, tthreads);
-        EXPECT_EQ(report->per_batch.size(),
-                  (sources.size() + static_cast<size_t>(batch) - 1) /
-                      static_cast<size_t>(batch));
-        // The dedup acceptance bar, via the engine path: batched cold
-        // runs read strictly fewer pages than the per-source loop.
-        if (num_threads == 1 && tthreads == 1) {
-          if (batch == 1) {
-            pages_at_batch1 = report->summary.total_pages_fetched;
-          } else {
-            EXPECT_LT(report->summary.total_pages_fetched, pages_at_batch1);
-          }
+      QueryEngineOptions options;
+      options.num_threads = num_threads;
+      options.cold_cache = true;
+      options.batch_sources = batch;
+      const QueryEngine engine(options);
+      auto report = engine.RunClosures(backend.get(), sources, Window());
+      ASSERT_TRUE(report.ok());
+      ASSERT_EQ(report->summary.failed_queries, 0u);
+      for (size_t i = 0; i < sources.size(); ++i) {
+        ASSERT_EQ(report->sets[i], expected[i])
+            << "threads=" << num_threads << " batch=" << batch
+            << " source=" << sources[i];
+      }
+      EXPECT_EQ(report->summary.batch_sources, batch);
+      EXPECT_EQ(report->per_batch.size(),
+                (sources.size() + static_cast<size_t>(batch) - 1) /
+                    static_cast<size_t>(batch));
+      // The dedup acceptance bar, via the engine path: batched cold
+      // runs read strictly fewer pages than the per-source loop.
+      if (num_threads == 1) {
+        if (batch == 1) {
+          pages_at_batch1 = report->summary.total_pages_fetched;
+        } else {
+          EXPECT_LT(report->summary.total_pages_fetched, pages_at_batch1);
         }
       }
     }

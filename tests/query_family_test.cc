@@ -4,7 +4,7 @@
 // k-hop with per-hop time bounds, top-k sources, probability threshold —
 // answers byte-identically on every backend (brute force, ReachGrid,
 // ReachGraph, SPJ, streaming SegmentedIndex), across storage shards, page
-// codecs, engine threads, traversal threads and arrival-order shuffles,
+// codecs, engine threads and arrival-order shuffles,
 // and each matches an *independent* brute-force oracle implemented here
 // from the E-table definition (network/hop_profile.h) without sharing the
 // driver code. Plus: the algebraic properties the families must satisfy
@@ -599,11 +599,9 @@ TEST(QueryFamilyEquivalence, BackendShardCodecThreadLattice) {
 
   for (const BackendConfig& config : configs) {
     auto session = config.make();
-    for (const auto& [num_threads, traversal_threads] :
-         std::vector<std::pair<int, int>>{{1, 1}, {4, 4}}) {
+    for (int num_threads : {1, 4}) {
       QueryEngineOptions options;
       options.num_threads = num_threads;
-      options.traversal_threads = traversal_threads;
       options.page_codec = config.codec;
       auto report = QueryEngine(options).RunFamilies(session.get(), specs);
       ASSERT_TRUE(report.ok())
