@@ -10,7 +10,9 @@
 // and whether every successfully answered query still matches the
 // fault-free reference. The fault_rate=0 rows double as the checksum
 // overhead measurement CI gates on (per-blob footer bytes / payload
-// bytes must stay under 5%). docs/BENCH_SCHEMA.md documents every field.
+// bytes must stay under 5%), and every row carries the checksum's CPU
+// cost per KiB at the build's page size. docs/BENCH_SCHEMA.md documents
+// every field.
 //
 // Set STREACH_BENCH_TINY=1 to run a reduced dataset — the CI bench-smoke
 // configuration.
@@ -20,6 +22,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -94,6 +97,38 @@ const std::shared_ptr<StreamingIngestor>& Ingestor() {
   return ingestor;
 }
 
+/// CPU cost of the checksum both integrity layers run on every read: the
+/// least time, over `kPasses` passes, `Crc32c` takes per KiB over
+/// buffers of the build's page size.
+double ChecksumNsPerKib() {
+  static const double ns_per_kib = [] {
+    constexpr int kPasses = 50;
+    constexpr size_t kBuffers = 256;
+    const size_t page_size = CellOptions().page_size;
+    std::string bytes(page_size * kBuffers, '\0');
+    uint32_t x = 2463534242u;
+    for (char& c : bytes) {
+      x ^= x << 13;
+      x ^= x >> 17;
+      x ^= x << 5;
+      c = static_cast<char>(x);
+    }
+    const std::string_view all(bytes);
+    uint32_t sink = 0;
+    double best = std::numeric_limits<double>::infinity();
+    for (int pass = 0; pass < kPasses; ++pass) {
+      Stopwatch watch;
+      for (size_t k = 0; k < kBuffers; ++k) {
+        sink ^= Crc32c(all.substr(k * page_size, page_size));
+      }
+      best = std::min(best, watch.ElapsedSeconds());
+    }
+    benchmark::DoNotOptimize(sink);
+    return best * 1e9 / (static_cast<double>(bytes.size()) / 1024.0);
+  }();
+  return ns_per_kib;
+}
+
 /// Workload answers with no injector attached: what every successfully
 /// answered query must still return under faults.
 const std::vector<ReachAnswer>& ReferenceAnswers() {
@@ -120,6 +155,7 @@ struct Row {
   uint64_t footer_bytes;
   uint64_t payload_bytes;
   double checksum_overhead;
+  double checksum_ns_per_kib;
   double query_seconds;
 };
 std::vector<Row>& Rows() {
@@ -184,7 +220,7 @@ void FaultSweep(benchmark::State& state) {
          payload_bytes > 0 ? static_cast<double>(footer_bytes) /
                                  static_cast<double>(payload_bytes)
                            : 0.0,
-         query_seconds});
+         ChecksumNsPerKib(), query_seconds});
   }
 
   for (const auto& segment : snapshot.segments) {
@@ -218,7 +254,8 @@ void WriteJson(const char* path) {
         "\"transient_faults\": %llu, \"read_retries\": %llu, "
         "\"ok_answers_match\": %s, \"stored_bytes\": %llu, "
         "\"footer_bytes\": %llu, \"payload_bytes\": %llu, "
-        "\"checksum_overhead\": %.6f, \"query_seconds\": %.6f}%s\n",
+        "\"checksum_overhead\": %.6f, \"checksum_ns_per_kib\": %.3f, "
+        "\"query_seconds\": %.6f}%s\n",
         r.fault_rate, r.retries, static_cast<unsigned long long>(r.queries),
         static_cast<unsigned long long>(r.failed_queries), r.success_rate,
         static_cast<unsigned long long>(r.transient_faults),
@@ -227,7 +264,7 @@ void WriteJson(const char* path) {
         static_cast<unsigned long long>(r.stored_bytes),
         static_cast<unsigned long long>(r.footer_bytes),
         static_cast<unsigned long long>(r.payload_bytes),
-        r.checksum_overhead, r.query_seconds,
+        r.checksum_overhead, r.checksum_ns_per_kib, r.query_seconds,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
@@ -237,18 +274,19 @@ void WriteJson(const char* path) {
 }  // namespace
 
 void PrintFaultTable() {
-  std::printf("\n%-6s %8s %8s %7s %8s %8s %8s %6s %10s\n", "Rate",
+  std::printf("\n%-6s %8s %8s %7s %8s %8s %8s %6s %9s %10s\n", "Rate",
               "Retries", "Queries", "Failed", "Faults", "Reissue", "match",
-              "tax%", "query(ms)");
+              "tax%", "ns/KiB", "query(ms)");
   for (const Row& r : Rows()) {
-    std::printf("%-6.2f %8d %8llu %7llu %8llu %8llu %8s %6.2f %10.2f\n",
+    std::printf("%-6.2f %8d %8llu %7llu %8llu %8llu %8s %6.2f %9.1f %10.2f\n",
                 r.fault_rate, r.retries,
                 static_cast<unsigned long long>(r.queries),
                 static_cast<unsigned long long>(r.failed_queries),
                 static_cast<unsigned long long>(r.transient_faults),
                 static_cast<unsigned long long>(r.read_retries),
                 r.ok_answers_match ? "yes" : "NO",
-                r.checksum_overhead * 100.0, r.query_seconds * 1e3);
+                r.checksum_overhead * 100.0, r.checksum_ns_per_kib,
+                r.query_seconds * 1e3);
   }
   WriteJson("BENCH_fault_injection.json");
   std::printf("Wrote BENCH_fault_injection.json (%zu cells)\n",

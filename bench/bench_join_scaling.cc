@@ -18,6 +18,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -181,77 +182,61 @@ std::vector<Row>& Rows() {
   return rows;
 }
 
-/// Shots per measurement. Single-shot wall times at smoke scale are
-/// dominated by first-touch page faults and scheduler noise; the
-/// minimum over several shots is the stable figure.
-constexpr int kShots = 5;
+/// Join thread counts every (objects, dT) cell times.
+constexpr int kJoinThreads[] = {1, 2, 4};
+constexpr size_t kNumJoinThreads = sizeof(kJoinThreads) / sizeof(int);
 
-/// Seed baseline per (objects, dT): timed once, reused by every
-/// join_threads cell as the oracle and (for threads > 1 cells) the
-/// reported seed_seconds.
-struct SeedResult {
-  double seconds;
-  std::vector<Contact> contacts;
-};
-const SeedResult& Seed(int objects, double dt) {
-  static std::map<std::pair<int, double>, SeedResult>* seeds =
-      new std::map<std::pair<int, double>, SeedResult>();
-  auto it = seeds->find({objects, dt});
-  if (it == seeds->end()) {
-    const TrajectoryStore& store = Store(objects);
-    double seconds = 0.0;
-    std::vector<Contact> contacts;
-    for (int rep = 0; rep < kShots; ++rep) {
-      Stopwatch timer;
-      contacts = SeedExtractContacts(store, dt);
-      const double elapsed = timer.ElapsedSeconds();
-      if (rep == 0 || elapsed < seconds) seconds = elapsed;
-    }
-    it = seeds->emplace(std::make_pair(objects, dt),
-                        SeedResult{seconds, std::move(contacts)})
-             .first;
-  }
-  return it->second;
-}
+/// Rounds per cell: at least `kMinShots`, and more until every timed
+/// configuration has spent `kMinCellSeconds`. Single-shot wall times at
+/// smoke scale are dominated by first-touch page faults and scheduler
+/// noise, and a tiny cell's extraction takes under 2 ms, so five shots
+/// can all land in one noisy stretch; the minimum over enough shots to
+/// fill some tens of ms is the stable figure.
+constexpr int kMinShots = 5;
+constexpr double kMinCellSeconds = 0.05;
 
 void JoinScaling(benchmark::State& state) {
   const int objects = ObjectCounts()[static_cast<size_t>(state.range(0))];
-  const int threads = static_cast<int>(state.range(1));
-  const double dt = ContactRanges()[static_cast<size_t>(state.range(2))];
+  const double dt = ContactRanges()[static_cast<size_t>(state.range(1))];
   const TrajectoryStore& store = Store(objects);
-  const SeedResult& seed = Seed(objects, dt);
-  JoinOptions options;
-  options.threads = threads;
   for (auto _ : state) {
-    // Min-of-kShots. The 1-thread cells carry CI's CSR-vs-seed
-    // assertion, so there the seed is re-timed inside the same cell,
-    // shot for shot alternating with the CSR join — both measurements
-    // see the same machine conditions instead of the seed being timed
-    // once at first use and compared against a cell run much later.
-    double seconds = 0.0;
-    double seed_seconds = seed.seconds;
-    std::vector<Contact> contacts;
-    for (int rep = 0; rep < kShots; ++rep) {
-      if (threads == 1) {
-        Stopwatch seed_timer;
-        std::vector<Contact> seed_shot = SeedExtractContacts(store, dt);
-        const double seed_elapsed = seed_timer.ElapsedSeconds();
-        benchmark::DoNotOptimize(seed_shot.data());
-        if (rep == 0 || seed_elapsed < seed_seconds) {
-          seed_seconds = seed_elapsed;
-        }
+    // Each round shoots the seed joiner, then the CSR join at every
+    // thread count, so every minimum — and so the CSR-vs-seed and
+    // thread-scaling comparisons CI makes between them — comes from the
+    // same machine conditions, not from cells run seconds apart.
+    double seed_seconds = 0.0;
+    double least_spent = 0.0;
+    std::vector<Contact> seed_contacts;
+    double seconds[kNumJoinThreads] = {};
+    double spent[kNumJoinThreads + 1] = {};  // Last slot: the seed.
+    for (int rep = 0; rep < kMinShots || least_spent < kMinCellSeconds;
+         ++rep) {
+      Stopwatch seed_timer;
+      seed_contacts = SeedExtractContacts(store, dt);
+      const double seed_elapsed = seed_timer.ElapsedSeconds();
+      if (rep == 0 || seed_elapsed < seed_seconds) seed_seconds = seed_elapsed;
+      spent[kNumJoinThreads] += seed_elapsed;
+      for (size_t k = 0; k < kNumJoinThreads; ++k) {
+        JoinOptions options;
+        options.threads = kJoinThreads[k];
+        Stopwatch timer;
+        const std::vector<Contact> contacts =
+            ExtractContacts(store, dt, options);
+        const double elapsed = timer.ElapsedSeconds();
+        // The front-end contract: same contacts at every configuration.
+        STREACH_CHECK(contacts == seed_contacts);
+        if (rep == 0 || elapsed < seconds[k]) seconds[k] = elapsed;
+        spent[k] += elapsed;
       }
-      Stopwatch timer;
-      contacts = ExtractContacts(store, dt, options);
-      const double elapsed = timer.ElapsedSeconds();
-      if (rep == 0 || elapsed < seconds) seconds = elapsed;
+      least_spent = *std::min_element(spent, spent + kNumJoinThreads + 1);
     }
-    // The front-end contract: same contacts at every configuration.
-    STREACH_CHECK(contacts == seed.contacts);
     const int64_t ticks = store.span().length();
-    Rows().push_back({objects, ticks, dt, threads, seconds,
-                      seconds > 0 ? ticks / seconds : 0.0, contacts.size(),
-                      seed_seconds, std::thread::hardware_concurrency()});
+    for (size_t k = 0; k < kNumJoinThreads; ++k) {
+      Rows().push_back({objects, ticks, dt, kJoinThreads[k], seconds[k],
+                        seconds[k] > 0 ? ticks / seconds[k] : 0.0,
+                        seed_contacts.size(), seed_seconds,
+                        std::thread::hardware_concurrency()});
+    }
   }
 }
 
@@ -259,11 +244,10 @@ BENCHMARK(JoinScaling)
     ->ArgsProduct({
         benchmark::CreateDenseRange(
             0, static_cast<int64_t>(ObjectCounts().size()) - 1, 1),
-        {1, 2, 4},
         benchmark::CreateDenseRange(
             0, static_cast<int64_t>(ContactRanges().size()) - 1, 1),
     })
-    ->ArgNames({"objects_idx", "join_threads", "dt_idx"})
+    ->ArgNames({"objects_idx", "dt_idx"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

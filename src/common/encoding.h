@@ -131,6 +131,14 @@ class Decoder {
     return s;
   }
 
+  /// Advances past `n` bytes without reading them. On overrun returns
+  /// `Corruption` and leaves the position where it was.
+  Status Skip(size_t n) {
+    if (n > data_.size() - pos_) return Truncated("skip");
+    pos_ += n;
+    return Status::OK();
+  }
+
   size_t position() const { return pos_; }
   size_t remaining() const { return data_.size() - pos_; }
   bool Done() const { return pos_ >= data_.size(); }

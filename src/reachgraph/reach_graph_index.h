@@ -2,6 +2,7 @@
 #define STREACH_REACHGRAPH_REACH_GRAPH_INDEX_H_
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -19,6 +20,8 @@
 #include "storage/storage_topology.h"
 
 namespace streach {
+
+class Decoder;
 
 /// Construction and placement parameters of ReachGraph (§5).
 struct ReachGraphOptions {
@@ -148,7 +151,18 @@ class ReachGraphIndex {
     std::vector<VertexId> in;
     std::vector<LongEdge> long_out;
   };
-  using ParsedPartition = std::unordered_map<VertexId, StoredVertex>;
+
+  /// A partition as read: its stored bytes plus the byte offset of every
+  /// vertex record, in ascending vertex id. Records are decoded one at a
+  /// time, when a traversal first asks for their vertex.
+  struct IndexedPartition {
+    struct Record {
+      VertexId id;
+      size_t offset;
+    };
+    std::string blob;
+    std::vector<Record> records;
+  };
 
   explicit ReachGraphIndex(const ReachGraphOptions& options)
       : options_(options),
@@ -157,17 +171,21 @@ class ReachGraphIndex {
 
   Status PlaceOnDisk(const DnGraph& graph);
 
-  /// Per-query traversal state: the caller's buffer pool plus the
-  /// partitions parsed so far (discarded when the query ends). Keeping it
-  /// on the query's stack — not in the index — is what makes the query
-  /// paths const and concurrently callable.
+  /// Per-query traversal state: the caller's buffer pool, the partitions
+  /// read so far (stored bytes plus offset index) and the vertices
+  /// decoded so far, all discarded when the query ends. Keeping it on the
+  /// query's stack — not in the index — is what makes the query paths
+  /// const and concurrently callable.
   struct TraversalScratch {
     BufferPool* pool = nullptr;
-    std::unordered_map<uint32_t, ParsedPartition> parsed;
+    std::unordered_map<uint32_t, IndexedPartition> partitions;
+    /// Node-based, so a pointer `GetVertex` returned stays valid.
+    std::unordered_map<VertexId, StoredVertex> vertices;
   };
 
-  /// Loads (and caches in `scratch`) the vertex's partition; returns the
-  /// vertex, valid for the lifetime of `scratch`.
+  /// Returns the vertex, decoded on its first request: reads and indexes
+  /// its partition unless `scratch` holds it, then decodes just this
+  /// vertex's record. The pointer is valid for the lifetime of `scratch`.
   Result<const StoredVertex*> GetVertex(VertexId v,
                                         TraversalScratch* scratch) const;
 
@@ -180,8 +198,17 @@ class ReachGraphIndex {
   Status PrefetchVertices(const std::vector<VertexId>& vs,
                           TraversalScratch* scratch) const;
 
-  /// Decodes one partition blob into its vertex table.
-  Result<ParsedPartition> ParsePartition(const std::string& blob) const;
+  /// The index pass over one partition blob: walks and bounds-checks
+  /// every vertex record, skipping its arrays without allocating, and
+  /// collects each record's (vertex id, byte offset). A truncated or
+  /// overrunning record, or ids that do not ascend, fail the whole
+  /// partition with `Corruption`.
+  static Result<IndexedPartition> IndexPartition(std::string blob);
+
+  /// Decodes the vertex record at `dec`'s position into `*out` and returns
+  /// its id. With `out` null it only checks the record's bounds and skips
+  /// it (fixed-width arrays in O(1)); the index pass runs it that way.
+  static Result<VertexId> DecodeVertex(Decoder* dec, StoredVertex* out);
 
   /// (object, t) -> vertex via the on-disk timeline (Ht lookup).
   Result<VertexId> LookupVertex(ObjectId object, Timestamp t,

@@ -41,7 +41,7 @@ size_t PickServiceSlot(const std::vector<size_t>& inflight, PageId last,
 
 BlockDevice::BlockDevice(size_t page_size)
     : page_size_(page_size),
-      zero_page_sum_(Fnv1a32(std::string(page_size, '\0'))) {}
+      zero_page_sum_(Crc32c(std::string(page_size, '\0'))) {}
 
 PageId BlockDevice::AllocatePage() {
   pages_.emplace_back(page_size_, '\0');
@@ -68,7 +68,7 @@ Status BlockDevice::WritePage(PageId id, std::string_view data) {
   std::string& page = pages_[id];
   page.assign(data.data(), data.size());
   page.resize(page_size_, '\0');
-  page_sums_[id] = Fnv1a32(page);
+  page_sums_[id] = Crc32c(page);
   return Status::OK();
 }
 
@@ -167,7 +167,7 @@ Status BlockDevice::SubmitWriteBatch(
     std::string& page = pages_[serviced.page];
     page.assign(serviced.data.data(), serviced.data.size());
     page.resize(page_size_, '\0');
-    page_sums_[serviced.page] = Fnv1a32(page);
+    page_sums_[serviced.page] = Crc32c(page);
     inflight.erase(inflight.begin() + static_cast<ptrdiff_t>(best));
   }
   return Status::OK();
@@ -177,7 +177,7 @@ Status BlockDevice::CheckRead(PageId id) const {
   if (fault_injector_ != nullptr) {
     STREACH_RETURN_NOT_OK(fault_injector_->OnRead(shard_label_, id));
   }
-  if (Fnv1a32(pages_[id]) != page_sums_[id]) {
+  if (Crc32c(pages_[id]) != page_sums_[id]) {
     return Status::Corruption("page checksum mismatch reading page " +
                               std::to_string(id) + " (shard " +
                               std::to_string(shard_label_) + ")");
@@ -202,7 +202,7 @@ Status BlockDevice::CorruptPageForTesting(PageId id, uint64_t bit_index,
   self->pages_[id][bit_index / 8] ^=
       static_cast<char>(1u << (bit_index % 8));
   if (refresh_checksum) {
-    self->page_sums_[id] = Fnv1a32(self->pages_[id]);
+    self->page_sums_[id] = Crc32c(self->pages_[id]);
   }
   return Status::OK();
 }

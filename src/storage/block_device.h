@@ -309,7 +309,7 @@ class BlockDevice {
 
   size_t page_size_;
   std::vector<std::string> pages_;
-  /// Checksum sidecar: page_sums_[id] is the FNV-1a of pages_[id],
+  /// Checksum sidecar: page_sums_[id] is the CRC-32C of pages_[id],
   /// maintained out of band (a real deployment would keep these in
   /// battery-backed controller memory or a separate checksum file).
   std::vector<uint32_t> page_sums_;

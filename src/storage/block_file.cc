@@ -78,7 +78,7 @@ Result<Extent> ExtentWriter::AppendStored(std::string_view blob) {
   STREACH_RETURN_NOT_OK(pack(blob));
   if (!blob.empty()) {
     std::string footer;
-    AppendChecksumFooter(Fnv1a32(blob), &footer);
+    AppendChecksumFooter(Crc32c(blob), &footer);
     STREACH_RETURN_NOT_OK(pack(footer));
   }
   bytes_written_ += extent.length;
@@ -215,7 +215,7 @@ Result<std::string> StitchExtent(const Extent& extent, size_t page_size,
     const std::string_view stored(out);
     const uint32_t expect =
         DecodeChecksumFooter(stored.substr(out.size() - kBlobChecksumBytes));
-    if (Fnv1a32(stored.substr(0, out.size() - kBlobChecksumBytes)) != expect) {
+    if (Crc32c(stored.substr(0, out.size() - kBlobChecksumBytes)) != expect) {
       return Status::Corruption("blob checksum mismatch in " + where());
     }
     out.resize(out.size() - kBlobChecksumBytes);

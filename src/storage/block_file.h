@@ -40,7 +40,7 @@ namespace streach {
 /// `encoded_bytes`/`decoded_bytes` against the device-global stats, the
 /// source of a build's compression ratio.
 ///
-/// Integrity: every non-empty blob is placed with a 4-byte FNV-1a footer
+/// Integrity: every non-empty blob is placed with a 4-byte CRC-32C footer
 /// over its stored bytes (see checksum.h), counted by `Extent::length`
 /// and `bytes_written()` but NOT by the codec byte accounting, which
 /// stays payload-only so compression ratios are footer-independent.

@@ -9,7 +9,7 @@ namespace streach {
 namespace {
 
 /// Serializes one record body (kind + four u32 fields) and appends it,
-/// followed by the FNV-1a checksum of those 17 bytes, to `out`.
+/// followed by the CRC-32C of those 17 bytes, to `out`.
 void AppendRecord(uint8_t kind, uint32_t a, uint32_t b, uint32_t start,
                   uint32_t end, std::string* out) {
   Encoder enc;
@@ -18,7 +18,7 @@ void AppendRecord(uint8_t kind, uint32_t a, uint32_t b, uint32_t start,
   enc.PutU32(b);
   enc.PutU32(start);
   enc.PutU32(end);
-  enc.PutU32(Fnv1a32(enc.buffer()));
+  enc.PutU32(Crc32c(enc.buffer()));
   out->append(enc.buffer());
 }
 
@@ -55,7 +55,7 @@ std::vector<ContactWal::Record> ContactWal::Replay(std::string_view log) {
     const uint32_t start = *dec.GetU32();
     const uint32_t end = *dec.GetU32();
     const uint32_t sum = *dec.GetU32();
-    if (sum != Fnv1a32(body)) break;  // Corrupt record: stop here.
+    if (sum != Crc32c(body)) break;  // Corrupt record: stop here.
     if (kind != Record::kContact && kind != Record::kSeal &&
         kind != Record::kSealRemaining) {
       break;  // Unknown kind that happened to checksum: treat as damage.

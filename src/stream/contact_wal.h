@@ -31,7 +31,7 @@ namespace streach {
 ///     b     u32
 ///     start u32
 ///     end   u32
-///     sum   u32  FNV-1a over the preceding 17 bytes
+///     sum   u32  CRC-32C over the preceding 17 bytes
 ///
 /// The per-record checksum makes a torn tail (a crash mid-write) or a
 /// bit-flipped record detectable: `Replay` returns the longest valid

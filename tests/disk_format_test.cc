@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "common/encoding.h"
@@ -163,6 +164,26 @@ TEST(CorruptionTest, DecoderPositionTracksConsumption) {
   ASSERT_TRUE(dec.GetString().ok());
   EXPECT_TRUE(dec.Done());
   EXPECT_EQ(dec.remaining(), 0u);
+}
+
+TEST(CorruptionTest, SkipOverrunIsCorruptionAndLeavesPositionUnmoved) {
+  Encoder enc;
+  enc.PutU32(7);
+  enc.PutU32(9);
+  Decoder dec(enc.buffer());
+  ASSERT_TRUE(dec.Skip(3).ok());
+  EXPECT_EQ(dec.position(), 3u);
+  EXPECT_TRUE(dec.Skip(6).IsCorruption());
+  EXPECT_EQ(dec.position(), 3u);
+  EXPECT_TRUE(dec.Skip(SIZE_MAX).IsCorruption());
+  EXPECT_EQ(dec.position(), 3u);
+  ASSERT_TRUE(dec.Skip(1).ok());
+  auto v = dec.GetU32();
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, 9u);
+  EXPECT_TRUE(dec.Skip(0).ok());
+  EXPECT_TRUE(dec.Skip(1).IsCorruption());
+  EXPECT_TRUE(dec.Done());
 }
 
 TEST(CorruptionTest, ExtentPageSpanArithmetic) {

@@ -1,10 +1,13 @@
-// Unit and property tests for src/storage: the simulated block device's
-// random/sequential accounting, the LRU buffer pool, extent IO, and the
-// sharded storage topology with routed page addresses.
+// Unit and property tests for src/storage: the CRC-32C checksum, the
+// simulated block device's random/sequential accounting, the LRU buffer
+// pool, extent IO, and the sharded storage topology with routed page
+// addresses.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -40,6 +43,58 @@ TEST(IoStatsTest, Difference) {
   const IoStats d = a - b;
   EXPECT_EQ(d.random_reads, 6u);
   EXPECT_EQ(d.sequential_reads, 3u);
+}
+
+// ----------------------------------------------------------------- Crc32c
+
+std::string BytesFrom(int first, int step, int count) {
+  std::string out;
+  for (int i = 0; i < count; ++i) {
+    out.push_back(static_cast<char>(first + step * i));
+  }
+  return out;
+}
+
+TEST(Crc32cTest, KnownAnswersOnBothPaths) {
+  // The check value and the RFC 3720 (iSCSI) test vectors.
+  const std::pair<std::string, uint32_t> cases[] = {
+      {"123456789", 0xE3069283u},
+      {std::string(32, '\0'), 0x8A9136AAu},
+      {std::string(32, '\xFF'), 0x62A8AB43u},
+      {BytesFrom(0, 1, 32), 0x46DD794Eu},
+      {BytesFrom(31, -1, 32), 0x113FDB5Cu},
+      {std::string(), 0u},
+  };
+  for (const auto& [bytes, want] : cases) {
+    EXPECT_EQ(Crc32c(bytes), want) << bytes.size() << " bytes";
+    EXPECT_EQ(Crc32cPortable(bytes), want) << bytes.size() << " bytes";
+  }
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesPortableAtEveryLengthAndAlignment) {
+  Rng rng(20240611);
+  std::string buf(4100 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 4100; ++len) {
+      const std::string_view bytes(buf.data() + start, len);
+      ASSERT_EQ(Crc32c(bytes), Crc32cPortable(bytes))
+          << "start " << start << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, EverySingleBitFlipOfAPageChangesTheSum) {
+  Rng rng(7);
+  std::string page(4096, '\0');
+  for (char& c : page) c = static_cast<char>(rng.Uniform(256));
+  const uint32_t clean = Crc32c(page);
+  for (size_t bit = 0; bit < page.size() * 8; ++bit) {
+    page[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    ASSERT_NE(Crc32c(page), clean) << "bit " << bit;
+    page[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+  }
+  EXPECT_EQ(Crc32c(page), clean);
 }
 
 // ------------------------------------------------------------ BlockDevice

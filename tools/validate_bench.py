@@ -300,7 +300,8 @@ def validate_fault_injection(path):
         "fault_rate", "retries", "queries", "failed_queries",
         "success_rate", "transient_faults", "read_retries",
         "ok_answers_match", "stored_bytes", "footer_bytes",
-        "payload_bytes", "checksum_overhead", "query_seconds"})
+        "payload_bytes", "checksum_overhead", "checksum_ns_per_kib",
+        "query_seconds"})
     for row in rows:
         assert row["queries"] > 0, f"empty cell: {row}"
         assert 0 <= row["failed_queries"] <= row["queries"], \
@@ -319,6 +320,10 @@ def validate_fault_injection(path):
             row["stored_bytes"], f"footer + payload != stored: {row}"
         assert row["checksum_overhead"] < 0.05, \
             f"checksum overhead not under 5%: {row}"
+        # The checksum's CPU cost per KiB verified: a real timing.
+        assert math.isfinite(row["checksum_ns_per_kib"]) and \
+            row["checksum_ns_per_kib"] > 0, \
+            f"checksum_ns_per_kib not a finite positive time: {row}"
         # A fault the retry loop did not reissue is a fault that failed
         # its query, so failures never exceed observed faults.
         assert row["failed_queries"] <= row["transient_faults"], \
@@ -364,7 +369,8 @@ def validate_fault_injection(path):
     assert any(r["transient_faults"] > 0 for r in faulted), \
         "fault schedule never hit a read"
     print(f"{len(rows)} fault cells OK; checksum overhead "
-          f"{max(r['checksum_overhead'] for r in rows) * 100:.2f}%; "
+          f"{max(r['checksum_overhead'] for r in rows) * 100:.2f}%, "
+          f"{min(r['checksum_ns_per_kib'] for r in rows):.1f} ns/KiB; "
           f"max masked faults "
           f"{max(r['read_retries'] for r in masked)}")
 
