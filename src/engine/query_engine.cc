@@ -1,11 +1,14 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
@@ -54,30 +57,55 @@ class WorkerCache {
         cache_(identity_ != nullptr ? cache : nullptr),
         sets_(cache_ != nullptr) {}
 
+  /// Lookups this worker answered from the cache: boolean points, top-k
+  /// candidates and profiles.
+  uint64_t hits() const { return hits_; }
+
   /// Writes the point answer from the source's cached reachable set and
   /// returns its status; nullopt when the session has no usable set
-  /// cache, so the caller takes its own uncached path. A backend whose
-  /// `ReachableSet` is NotSupported only answers point queries and is
-  /// not probed again. Self-queries are never answered from a set: no
-  /// set shows one holding for an id outside the population.
+  /// cache, so the caller takes its own uncached path. Self-queries are
+  /// never answered from a set: no set shows one holding for an id
+  /// outside the population.
   std::optional<Status> Point(ObjectId source, ObjectId destination,
                               TimeInterval interval, ReachAnswer* answer,
                               QueryStats* stats) {
     if (!sets_ || source == destination) return std::nullopt;
-    ResultCache::SetPtr set = cache_->Lookup(identity_, source, interval);
-    if (set == nullptr) {
-      auto computed = session_->ReachableSet(source, interval);
-      if (computed.status().IsNotSupported()) {
-        sets_ = false;
-        return std::nullopt;
-      }
-      *stats = session_->last_query_stats();
-      if (!computed.ok()) return computed.status();
-      set = std::make_shared<const std::vector<Timestamp>>(
-          std::move(computed).ValueUnsafe());
-      cache_->Insert(identity_, source, interval, set);
+    ResultCache::SetPtr set;
+    std::optional<Status> status =
+        ReadThrough(&source, 1, interval, /*batch=*/false, &set, stats);
+    if (status.has_value() && status->ok()) {
+      *answer = AnswerFromSet(*set, destination);
     }
-    *answer = AnswerFromSet(*set, destination);
+    return status;
+  }
+
+  /// Top-k ranked from the candidates' cached reachable sets, with every
+  /// miss computed in one `ReachableSets` batch; the same return contract
+  /// as `Point`. Each distinct candidate is looked up once.
+  std::optional<Status> TopK(const QuerySpec& spec, FamilyAnswer* answer,
+                             QueryStats* stats) {
+    if (!sets_) return std::nullopt;
+    STREACH_RETURN_NOT_OK(ValidateTopK(spec));
+    // Distinct candidates in first-appearance order, so a top-k with no
+    // repeats and no hits sweeps exactly the uncached path's batch.
+    std::vector<ObjectId> distinct;
+    std::vector<size_t> slot_of;  // Candidate i's index into `distinct`.
+    std::unordered_map<ObjectId, size_t> slots;
+    slot_of.reserve(spec.candidates.size());
+    for (const ObjectId candidate : spec.candidates) {
+      const auto placed = slots.emplace(candidate, distinct.size());
+      if (placed.second) distinct.push_back(candidate);
+      slot_of.push_back(placed.first->second);
+    }
+    std::vector<ResultCache::SetPtr> sets(distinct.size());
+    std::optional<Status> status =
+        ReadThrough(distinct.data(), distinct.size(), spec.interval,
+                    /*batch=*/true, sets.data(), stats);
+    if (!status.has_value() || !status->ok()) return status;
+    std::vector<const std::vector<Timestamp>*> views;
+    views.reserve(slot_of.size());
+    for (const size_t slot : slot_of) views.push_back(sets[slot].get());
+    *answer = RankTopK(spec, views);
     return Status::OK();
   }
 
@@ -89,6 +117,7 @@ class WorkerCache {
     if (cache_ != nullptr) {
       if (ResultCache::ProfilePtr profile = cache_->LookupProfile(
               identity_, spec.source, spec.interval, hops)) {
+        ++hits_;
         return AnswerFromProfile(spec, *profile);
       }
     }
@@ -106,10 +135,66 @@ class WorkerCache {
   }
 
  private:
+  /// The set cache's one read-through path: looks up the reachable set of
+  /// each of `sources[0, count)` over `interval` into `sets`, computes
+  /// every miss in one backend call and inserts it. `batch` picks that
+  /// call: one `ReachableSets` over all misses (top-k), or `ReachableSet`
+  /// for a boolean's lone source. `sets` holds every set found or
+  /// computed, so an entry that a small cache evicts mid-spec is still
+  /// served. `stats` gets the backend call's stats and stays empty when
+  /// every source hit. nullopt when the backend enumerates no sets
+  /// (NotSupported): the session is not probed again, and the caller takes
+  /// its uncached path.
+  std::optional<Status> ReadThrough(const ObjectId* sources, size_t count,
+                                    TimeInterval interval, bool batch,
+                                    ResultCache::SetPtr* sets,
+                                    QueryStats* stats) {
+    std::vector<size_t> misses;
+    for (size_t i = 0; i < count; ++i) {
+      sets[i] = cache_->Lookup(identity_, sources[i], interval);
+      if (sets[i] != nullptr) {
+        ++hits_;
+      } else {
+        misses.push_back(i);
+      }
+    }
+    if (misses.empty()) return Status::OK();
+    Status status;
+    std::vector<std::vector<Timestamp>> computed;
+    if (batch) {
+      std::vector<ObjectId> wanted;
+      wanted.reserve(misses.size());
+      for (const size_t i : misses) wanted.push_back(sources[i]);
+      auto result = session_->ReachableSets(wanted, interval);
+      status = result.status();
+      if (result.ok()) computed = std::move(result).ValueUnsafe();
+    } else {
+      STREACH_CHECK_EQ(count, 1u);
+      auto result = session_->ReachableSet(sources[0], interval);
+      status = result.status();
+      if (result.ok()) computed.push_back(std::move(result).ValueUnsafe());
+    }
+    if (status.IsNotSupported()) {
+      sets_ = false;
+      return std::nullopt;
+    }
+    RecordStats(*session_, status, stats);
+    if (!status.ok()) return status;
+    STREACH_CHECK_EQ(computed.size(), misses.size());
+    for (size_t m = 0; m < misses.size(); ++m) {
+      const size_t i = misses[m];
+      sets[i] = std::make_shared<const std::vector<Timestamp>>(
+          std::move(computed[m]));
+      cache_->Insert(identity_, sources[i], interval, sets[i]);
+    }
+    return Status::OK();
+  }
+
   ReachabilityIndex* session_;
   std::shared_ptr<const void> identity_;
   ResultCache* cache_;  // nullptr: this session is never cached.
-  bool sets_;           // Cleared once ReachableSet proves NotSupported.
+  bool sets_;           // Cleared once the set path proves NotSupported.
+  uint64_t hits_ = 0;
 };
 
 /// The one run loop behind `Run`, `RunFamilies` and `RunClosures`. The
@@ -172,7 +257,9 @@ Status Schedule(ReachabilityIndex* backend, const QueryEngineOptions& options,
   // cold_cache wins over the result cache: the paper's protocol is
   // "measure every query cold", and a memoized answer would defeat it.
   if (options.cold_cache) cache = nullptr;
-  const uint64_t cache_hits_before = cache != nullptr ? cache->hits() : 0;
+  // Hits are counted per worker, not read off the shared cache, so runs
+  // sharing one engine at the same time never count each other's.
+  std::atomic<uint64_t> cache_hits{0};
 
   // Striped, not claimed off a shared counter: an item's session, and so
   // the pages it finds warm, is fixed by its index alone.
@@ -185,6 +272,7 @@ Status Schedule(ReachabilityIndex* backend, const QueryEngineOptions& options,
       (*statuses)[i] = evaluate(i, session, &worker_cache, &(*stats)[i]);
       latencies[i] = latency.ElapsedSeconds();
     }
+    cache_hits += worker_cache.hits();
   };
 
   Stopwatch wall;
@@ -229,7 +317,7 @@ Status Schedule(ReachabilityIndex* backend, const QueryEngineOptions& options,
   s.p50_latency = Percentile(latencies, 0.50);
   s.p95_latency = Percentile(latencies, 0.95);
   s.p99_latency = Percentile(latencies, 0.99);
-  if (cache != nullptr) s.result_cache_hits = cache->hits() - cache_hits_before;
+  s.result_cache_hits = cache_hits;
   // Per-shard breakdown: delta of every session's cumulative cursors over
   // the run, summed shard-wise across sessions.
   for (size_t k = 0; k < sessions.size(); ++k) {
@@ -394,7 +482,10 @@ Result<FamilyWorkloadReport> QueryEngine::RunFamilies(
       case QueryFamily::kThresholdReach:
         return Store(cache->Profile(spec, stats), &answer);
       case QueryFamily::kTopKSources:
-        break;  // Uncached: a top-k answer is already an aggregate.
+        if (std::optional<Status> cached = cache->TopK(spec, &answer, stats)) {
+          return *std::move(cached);
+        }
+        break;  // Uncached: one ReachableSets batch over the candidates.
     }
     Result<FamilyAnswer> evaluated = EvaluateFamily(session, spec);
     RecordStats(*session, evaluated.status(), stats);

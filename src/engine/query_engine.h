@@ -80,14 +80,17 @@ struct QueryEngineOptions {
   bool degraded_serving = false;
 
   /// Capacity (entries) of the engine's result cache memoizing
-  /// `(index, source, interval) -> reachable set`; 0 disables it. On a
-  /// cache hit a point query is answered by set lookup with zero backend
-  /// work; on a miss the engine materializes the full set via
+  /// `(index, source, interval) -> reachable set` (and, for
+  /// `RunFamilies`, constrained profiles); 0 disables it. On a cache hit
+  /// a point query is answered by set lookup with zero backend work; on a
+  /// miss the engine materializes the full set via
   /// `ReachableSet(source, interval)` and caches it (backends that only
   /// answer point queries fall back to a plain `Query` and are never
-  /// cached). Answers are identical with the cache on or off, but the
-  /// cost profile shifts: a miss pays the full-set sweep (no
-  /// destination early-exit), so the cache wins on workloads that repeat
+  /// cached). A top-k spec reads its candidates' sets from the same
+  /// entries and computes all its misses in one `ReachableSets` batch.
+  /// Answers are identical with the cache on or off, but the cost
+  /// profile shifts: a miss pays the full-set sweep (no destination
+  /// early-exit), so the cache wins on workloads that repeat
   /// `(source, interval)` keys and loses on all-unique ones. The cache
   /// persists across `Run` calls on one engine — indexes are immutable
   /// and entries are keyed by `IndexIdentity()`, so they never
@@ -116,7 +119,11 @@ struct WorkloadSummary {
   double p95_latency = 0.0;
   double p99_latency = 0.0;
   double max_latency = 0.0;
-  /// Point queries answered from the engine's result cache.
+  /// Lookups this run answered from the engine's result cache: boolean
+  /// points, top-k candidates (each distinct candidate of a spec is one
+  /// lookup) and decay / k-hop / threshold profiles. Counted by the run's
+  /// own workers, so runs sharing one engine at the same time never count
+  /// each other's hits.
   uint64_t result_cache_hits = 0;
   /// Queries whose status is an error (every entry point records them
   /// in the report's `statuses` and keeps going; a failed closure batch
@@ -287,16 +294,22 @@ class QueryEngine {
   /// through `EvaluateFamily`'s set-first path, which falls back to
   /// `Query` on point-only backends), decay / k-hop / threshold specs
   /// evaluate through `ConstrainedProfile` with the resolved
-  /// `HopConstraints` joining the cache key, and top-k specs rank one
-  /// `ReachableSets` batch over their candidates (uncached — a top-k
-  /// answer is already an aggregate). Answers are byte-identical at every
-  /// num_threads and with the cache on or off; per-spec failures
+  /// `HopConstraints` joining the cache key, and top-k specs rank their
+  /// candidates' reachable sets: each distinct candidate is read from the
+  /// same set entries the boolean specs use, and the misses are computed
+  /// in one `ReachableSets` batch and cached. Without a usable cache
+  /// (cache off, `cold_cache`, a backend with no `IndexIdentity()` or no
+  /// `ReachableSets`), a top-k is one `ReachableSets` batch over its
+  /// candidates through `EvaluateFamily`. Answers are byte-identical at
+  /// every num_threads and with the cache on or off; per-spec failures
   /// (including a family the backend cannot serve) land in
   /// `report.statuses[i]` like `Run`'s, without aborting. A spec rejected
   /// before any backend work (bad arguments, NotSupported) reports empty
-  /// `per_query[i]` stats. The summary's `num_reachable` totals reached
-  /// point answers (boolean, threshold), finite profile entries (decay,
-  /// k-hop), and the reach counts of the ranked entries (top-k).
+  /// `per_query[i]` stats, as does a spec answered wholly from the cache;
+  /// a top-k with misses reports its batch's stats. The summary's
+  /// `num_reachable` totals reached point answers (boolean, threshold),
+  /// finite profile entries (decay, k-hop), and the reach counts of the
+  /// ranked entries (top-k).
   Result<FamilyWorkloadReport> RunFamilies(
       ReachabilityIndex* backend, const std::vector<QuerySpec>& specs) const;
 

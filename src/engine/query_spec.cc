@@ -136,14 +136,22 @@ FamilyAnswer AnswerFromProfile(const QuerySpec& spec,
   return answer;
 }
 
+Status ValidateTopK(const QuerySpec& spec) {
+  if (spec.k < 1) return Status::InvalidArgument("top-k requires k >= 1");
+  if (spec.candidates.empty()) {
+    return Status::InvalidArgument("top-k requires candidate sources");
+  }
+  return Status::OK();
+}
+
 FamilyAnswer RankTopK(const QuerySpec& spec,
-                      const std::vector<std::vector<Timestamp>>& sets) {
+                      const std::vector<const std::vector<Timestamp>*>& sets) {
   FamilyAnswer answer;
   answer.family = spec.family;
   answer.ranked.reserve(sets.size());
   for (size_t i = 0; i < sets.size(); ++i) {
     uint32_t count = 0;
-    for (Timestamp t : sets[i]) count += (t != kInvalidTime) ? 1 : 0;
+    for (Timestamp t : *sets[i]) count += (t != kInvalidTime) ? 1 : 0;
     answer.ranked.push_back(TopKEntry{spec.candidates[i], count});
   }
   std::sort(answer.ranked.begin(), answer.ranked.end(),
@@ -195,16 +203,14 @@ Result<FamilyAnswer> EvaluateFamily(ReachabilityIndex* backend,
       return AnswerFromProfile(spec, std::move(profile));
     }
     case QueryFamily::kTopKSources: {
-      if (spec.k < 1) {
-        return Status::InvalidArgument("top-k requires k >= 1");
-      }
-      if (spec.candidates.empty()) {
-        return Status::InvalidArgument("top-k requires candidate sources");
-      }
+      STREACH_RETURN_NOT_OK(ValidateTopK(spec));
       STREACH_ASSIGN_OR_RETURN(
           std::vector<std::vector<Timestamp>> sets,
           backend->ReachableSets(spec.candidates, spec.interval));
-      return RankTopK(spec, sets);
+      std::vector<const std::vector<Timestamp>*> views;
+      views.reserve(sets.size());
+      for (const std::vector<Timestamp>& set : sets) views.push_back(&set);
+      return RankTopK(spec, views);
     }
   }
   return Status::InvalidArgument("unknown query family");

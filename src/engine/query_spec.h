@@ -145,10 +145,15 @@ Result<HopConstraints> ResolveHops(const QuerySpec& spec);
 FamilyAnswer AnswerFromProfile(const QuerySpec& spec,
                                std::vector<ReachProfileEntry> profile);
 
-/// Ranks closure sets into a top-k answer (`sets[i]` answers
-/// `spec.candidates[i]`).
+/// InvalidArgument unless a top-k spec asks for `k >= 1` of a non-empty
+/// candidate list; checked before any backend work, cached or not.
+Status ValidateTopK(const QuerySpec& spec);
+
+/// Ranks closure sets into a top-k answer: `sets[i]` points at the set
+/// of `spec.candidates[i]` (duplicate candidates may share one), so
+/// cached sets are counted where they lie, never copied.
 FamilyAnswer RankTopK(const QuerySpec& spec,
-                      const std::vector<std::vector<Timestamp>>& sets);
+                      const std::vector<const std::vector<Timestamp>*>& sets);
 
 /// Evaluates one spec of any family against a backend session, uncached:
 /// boolean routes through `ReachableSet` (falling back to the point

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -592,6 +594,58 @@ TEST_F(EngineTest, ResultCacheAnswersAreDeterministicAndHit) {
           << backend->DescribeIndex() << " threads=" << threads;
     }
   }
+}
+
+TEST_F(EngineTest, ConcurrentRunsOnOneEngineCountOnlyTheirOwnCacheHits) {
+  // Two callers share one engine at the same time, as a server's clients
+  // do. Each sends one-spec RunFamilies calls over its own 4 keys, so a
+  // call hits exactly when its key came up before in the same caller's
+  // stream. Each summary must count that call's own hit and none of the
+  // other caller's, which land in the same shared cache meanwhile. A call
+  // takes about a microsecond, and two new threads can share one CPU for
+  // a scheduler slice (a few ms) before one migrates, so each caller
+  // sends enough calls to overlap the other's for many milliseconds.
+  constexpr size_t kCallers = 2;
+  constexpr size_t kCalls = 20000;
+  constexpr size_t kKeys = 4;
+  QueryEngineOptions options;
+  options.result_cache_capacity = 64;
+  const QueryEngine engine(options);
+  auto backend = MakeBruteForceBackend(stack_->network);
+  std::vector<std::unique_ptr<ReachabilityIndex>> sessions;
+  for (size_t c = 0; c < kCallers; ++c) {
+    sessions.push_back(backend->NewSession());
+  }
+  std::vector<uint64_t> wrong(kCallers, 0);  // Calls with a wrong count.
+  std::vector<uint64_t> total(kCallers, 0);
+  std::atomic<size_t> ready{0};
+  auto caller = [&](size_t c) {
+    ++ready;
+    while (ready.load() < kCallers) std::this_thread::yield();
+    for (size_t i = 0; i < kCalls; ++i) {
+      QuerySpec spec;
+      spec.source = static_cast<ObjectId>(c * kKeys + i % kKeys);
+      spec.destination = 100;
+      spec.interval = TimeInterval(20, 300);
+      const auto report = engine.RunFamilies(sessions[c].get(), {spec});
+      if (!report.ok() || !report->statuses[0].ok()) {
+        ++wrong[c];
+        continue;
+      }
+      const uint64_t hits = report->summary.result_cache_hits;
+      if (hits != (i < kKeys ? 0u : 1u)) ++wrong[c];
+      total[c] += hits;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < kCallers; ++c) threads.emplace_back(caller, c);
+  for (std::thread& t : threads) t.join();
+
+  for (size_t c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(wrong[c], 0u) << "caller " << c;
+    EXPECT_EQ(total[c], kCalls - kKeys) << "caller " << c;
+  }
+  EXPECT_EQ(engine.result_cache()->hits(), kCallers * (kCalls - kKeys));
 }
 
 TEST(ResultCacheTest, StaleEntriesFromDestroyedIndexAreDropped) {

@@ -600,28 +600,41 @@ TEST(QueryFamilyEquivalence, BackendShardCodecThreadLattice) {
   for (const BackendConfig& config : configs) {
     auto session = config.make();
     for (int num_threads : {1, 4}) {
-      QueryEngineOptions options;
-      options.num_threads = num_threads;
-      options.page_codec = config.codec;
-      auto report = QueryEngine(options).RunFamilies(session.get(), specs);
-      ASSERT_TRUE(report.ok())
-          << config.label << ": " << report.status().ToString();
-      ASSERT_EQ(report->answers.size(), specs.size()) << config.label;
-      for (size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(report->answers[i], expected[i])
-            << config.label << " threads=" << num_threads << " "
-            << specs[i].ToString();
+      for (const size_t capacity : {size_t{0}, size_t{64}}) {
+        QueryEngineOptions options;
+        options.num_threads = num_threads;
+        options.page_codec = config.codec;
+        options.result_cache_capacity = capacity;
+        const QueryEngine engine(options);
+        // A cached engine runs twice: cold, then warm from its own
+        // entries (64 is fewer than the workload's keys, so the warm pass
+        // mixes hits, misses and evictions).
+        const int passes = capacity == 0 ? 1 : 2;
+        for (int pass = 0; pass < passes; ++pass) {
+          const std::string label =
+              config.label + " threads=" + std::to_string(num_threads) +
+              " cache=" + std::to_string(capacity) +
+              (capacity == 0 ? "" : pass == 0 ? " cold" : " warm");
+          auto report = engine.RunFamilies(session.get(), specs);
+          ASSERT_TRUE(report.ok())
+              << label << ": " << report.status().ToString();
+          ASSERT_EQ(report->answers.size(), specs.size()) << label;
+          for (size_t i = 0; i < specs.size(); ++i) {
+            EXPECT_EQ(report->answers[i], expected[i])
+                << label << " " << specs[i].ToString();
+          }
+          // Per-family accounting covers every spec exactly once.
+          uint64_t counted = 0;
+          for (const uint64_t count : report->summary.family_counts) {
+            counted += count;
+          }
+          EXPECT_EQ(counted, specs.size()) << label;
+          EXPECT_GT(report->summary.family_counts[static_cast<size_t>(
+                        QueryFamily::kDecayReach)],
+                    0u)
+              << label;
+        }
       }
-      // Per-family accounting covers every spec exactly once.
-      uint64_t counted = 0;
-      for (const uint64_t count : report->summary.family_counts) {
-        counted += count;
-      }
-      EXPECT_EQ(counted, specs.size()) << config.label;
-      EXPECT_GT(report->summary.family_counts[static_cast<size_t>(
-                    QueryFamily::kDecayReach)],
-                0u)
-          << config.label;
     }
   }
 }
@@ -1054,6 +1067,296 @@ TEST(QueryFamilyEngine, RejectedSpecsReportNoBackendWork) {
       EXPECT_EQ(report->summary.total_io_cost, served.io_cost) << label;
       EXPECT_EQ(report->summary.total_pages_fetched, served.pages_fetched)
           << label;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Top-k through the result cache. A candidate's set is the boolean
+// family's set entry for the same (source, interval), so a top-k reads
+// the cached sets and sweeps only its misses, in one ReachableSets batch.
+// Every ranking is checked against BruteForceTopK, not only against the
+// uncached path.
+// ---------------------------------------------------------------------
+
+/// True when two stats record the same backend work (CPU time is
+/// measured, not counted, so it is left out).
+bool SameBackendWork(const QueryStats& a, const QueryStats& b) {
+  return a.io_cost == b.io_cost && a.pages_fetched == b.pages_fetched &&
+         a.pool_hits == b.pool_hits && a.items_visited == b.items_visited;
+}
+
+/// ReachGrid, ReachGraph and SPJ over one VN-S dataset, built once.
+class QueryFamilyTopKCache : public ::testing::Test {
+ protected:
+  struct Stack {
+    std::shared_ptr<const ContactNetwork> network;
+    TimeInterval window;
+    std::vector<std::pair<std::string,
+                          std::function<std::unique_ptr<ReachabilityIndex>()>>>
+        backends;
+  };
+
+  static void SetUpTestSuite() {
+    auto dataset = MakeVnDataset(DatasetScale::kSmall, 240);
+    ASSERT_TRUE(dataset.ok());
+    stack_ = new Stack();
+    stack_->network = std::make_shared<const ContactNetwork>(
+        dataset->num_objects(), dataset->span(),
+        ExtractContacts(dataset->store, dataset->contact_range));
+    stack_->window =
+        TimeInterval(dataset->span().start + 20, dataset->span().start + 200);
+
+    ReachGridOptions grid_options;
+    grid_options.temporal_resolution = 20;
+    grid_options.spatial_cell_size = 1500.0;
+    grid_options.contact_range = dataset->contact_range;
+    auto grid = ReachGridIndex::Build(dataset->store, grid_options);
+    ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+    std::shared_ptr<const ReachGridIndex> grid_sp = std::move(*grid);
+    stack_->backends.emplace_back(
+        "grid", [grid_sp] { return MakeReachGridBackend(grid_sp); });
+
+    auto graph = ReachGraphIndex::Build(*stack_->network, ReachGraphOptions{});
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    std::shared_ptr<const ReachGraphIndex> graph_sp = std::move(*graph);
+    stack_->backends.emplace_back("graph", [graph_sp] {
+      return MakeReachGraphBackend(graph_sp, ReachGraphTraversal::kBmBfs);
+    });
+
+    SpjOptions spj_options;
+    spj_options.contact_range = dataset->contact_range;
+    auto spj = SpjEvaluator::Build(dataset->store, spj_options);
+    ASSERT_TRUE(spj.ok()) << spj.status().ToString();
+    std::shared_ptr<const SpjEvaluator> spj_sp = std::move(*spj);
+    stack_->backends.emplace_back(
+        "spj", [spj_sp] { return MakeSpjBackend(spj_sp); });
+  }
+
+  static void TearDownTestSuite() {
+    delete stack_;
+    stack_ = nullptr;
+  }
+
+  static QuerySpec TopK(std::vector<ObjectId> candidates, int32_t k) {
+    QuerySpec spec;
+    spec.family = QueryFamily::kTopKSources;
+    spec.interval = stack_->window;
+    spec.k = k;
+    spec.candidates = std::move(candidates);
+    return spec;
+  }
+
+  /// A boolean spec whose cache key is (source, window).
+  static QuerySpec Boolean(ObjectId source) {
+    QuerySpec spec;
+    spec.source = source;
+    spec.destination = source + 1;
+    spec.interval = stack_->window;
+    return spec;
+  }
+
+  /// Every top-k spec of `specs` succeeded with the oracle's ranking.
+  static void ExpectOracleRankings(const FamilyWorkloadReport& report,
+                                   const std::vector<QuerySpec>& specs,
+                                   const std::string& label) {
+    ASSERT_EQ(report.answers.size(), specs.size()) << label;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      if (specs[i].family != QueryFamily::kTopKSources) continue;
+      ASSERT_TRUE(report.statuses[i].ok())
+          << label << " " << report.statuses[i].ToString();
+      EXPECT_EQ(report.answers[i].family, QueryFamily::kTopKSources) << label;
+      EXPECT_EQ(report.answers[i].ranked,
+                BruteForceTopK(*stack_->network, specs[i]))
+          << label << " " << specs[i].ToString();
+    }
+  }
+
+  static Stack* stack_;
+};
+
+QueryFamilyTopKCache::Stack* QueryFamilyTopKCache::stack_ = nullptr;
+
+TEST_F(QueryFamilyTopKCache, AllHitTopKAfterBooleansDoesNoBackendWork) {
+  std::vector<QuerySpec> booleans;
+  for (const ObjectId o : {3u, 8u, 15u, 21u, 40u}) {
+    booleans.push_back(Boolean(o));
+  }
+  // Every candidate is one of the booleans' sources.
+  const std::vector<QuerySpec> topks = {TopK({3, 8, 15, 21, 40}, 2),
+                                        TopK({40, 3}, 1),
+                                        TopK({21, 15, 8}, 5), TopK({8}, 1)};
+  for (const auto& [name, make] : stack_->backends) {
+    for (const int threads : {1, 4}) {
+      const std::string label = name + " threads=" + std::to_string(threads);
+      QueryEngineOptions options;
+      options.num_threads = threads;
+      options.result_cache_capacity = 64;
+      const QueryEngine engine(options);
+      auto session = make();
+      const auto warmed = engine.RunFamilies(session.get(), booleans);
+      ASSERT_TRUE(warmed.ok()) << label;
+      EXPECT_EQ(warmed->summary.failed_queries, 0u) << label;
+
+      const auto report = engine.RunFamilies(session.get(), topks);
+      ASSERT_TRUE(report.ok()) << label;
+      ExpectOracleRankings(*report, topks, label);
+      size_t candidates = 0;
+      for (size_t i = 0; i < topks.size(); ++i) {
+        EXPECT_TRUE(NoBackendWork(report->per_query[i]))
+            << label << " " << topks[i].ToString() << ": "
+            << report->per_query[i].ToString();
+        candidates += topks[i].candidates.size();
+      }
+      EXPECT_EQ(report->summary.result_cache_hits, candidates) << label;
+      EXPECT_EQ(report->summary.total_pages_fetched, 0u) << label;
+    }
+  }
+}
+
+TEST_F(QueryFamilyTopKCache, PartlyCachedTopKSweepsOnlyItsMissesAndCachesThem) {
+  for (const auto& [name, make] : stack_->backends) {
+    for (const int threads : {1, 4}) {
+      const std::string label = name + " threads=" + std::to_string(threads);
+      // One top-k per worker over disjoint candidates, so each runs on a
+      // fresh session; booleans from another session cache half of them
+      // first.
+      std::vector<QuerySpec> topks;
+      std::vector<QuerySpec> warm;
+      std::vector<std::vector<ObjectId>> misses;
+      for (int j = 0; j < threads; ++j) {
+        const ObjectId base = static_cast<ObjectId>(10 * j + 1);
+        topks.push_back(TopK({base, base + 2, base + 4, base + 6}, 2));
+        warm.push_back(Boolean(base));
+        warm.push_back(Boolean(base + 4));
+        misses.push_back({base + 2, base + 6});
+      }
+      QueryEngineOptions options;
+      options.num_threads = threads;
+      options.result_cache_capacity = 64;
+      const QueryEngine engine(options);
+      auto warm_session = make();
+      ASSERT_TRUE(engine.RunFamilies(warm_session.get(), warm).ok()) << label;
+
+      auto session = make();
+      const auto report = engine.RunFamilies(session.get(), topks);
+      ASSERT_TRUE(report.ok()) << label;
+      ExpectOracleRankings(*report, topks, label);
+      EXPECT_EQ(report->summary.result_cache_hits, 2u * topks.size())
+          << label;
+      // Each top-k swept exactly its misses: the same work as one
+      // ReachableSets batch over them on a fresh session.
+      for (size_t j = 0; j < topks.size(); ++j) {
+        auto probe = make();
+        ASSERT_TRUE(probe->ReachableSets(misses[j], stack_->window).ok())
+            << label;
+        EXPECT_FALSE(NoBackendWork(report->per_query[j])) << label;
+        EXPECT_TRUE(
+            SameBackendWork(report->per_query[j], probe->last_query_stats()))
+            << label << " top-k " << j << ": "
+            << report->per_query[j].ToString() << " vs "
+            << probe->last_query_stats().ToString();
+      }
+
+      // The sets it inserted answer later booleans with no backend work.
+      std::vector<QuerySpec> later;
+      for (const std::vector<ObjectId>& swept : misses) {
+        for (const ObjectId o : swept) later.push_back(Boolean(o));
+      }
+      const auto served = engine.RunFamilies(session.get(), later);
+      ASSERT_TRUE(served.ok()) << label;
+      EXPECT_EQ(served->summary.result_cache_hits, later.size()) << label;
+      for (size_t i = 0; i < later.size(); ++i) {
+        ASSERT_TRUE(served->statuses[i].ok()) << label;
+        EXPECT_TRUE(NoBackendWork(served->per_query[i])) << label;
+        const ReachAnswer expected =
+            BruteForceReach(*stack_->network, later[i].source,
+                            later[i].destination, later[i].interval);
+        EXPECT_EQ(served->answers[i].point.reachable, expected.reachable)
+            << label << " " << later[i].ToString();
+        EXPECT_EQ(served->answers[i].point.arrival_time,
+                  expected.arrival_time)
+            << label << " " << later[i].ToString();
+      }
+    }
+  }
+}
+
+TEST_F(QueryFamilyTopKCache, DuplicateOutOfRangeAndEvictedCandidatesRank) {
+  const ObjectId n = static_cast<ObjectId>(stack_->network->num_objects());
+  // Booleans put some candidates in the cache first; at capacity 1 the
+  // top-k's own inserts evict the entries it just read.
+  const std::vector<QuerySpec> specs = {
+      Boolean(9),
+      TopK({5, 9, 5, 12, 9}, 2),           // Duplicates.
+      TopK({n + 3, 2, n + 3, n}, 3),       // Out of range, repeated.
+      Boolean(12),
+      TopK({12, 5, 9, 30, 31, 32, 2}, 4),  // Hits mixed with misses.
+  };
+  for (const auto& [name, make] : stack_->backends) {
+    for (const int threads : {1, 4}) {
+      const std::string base = name + " threads=" + std::to_string(threads);
+      QueryEngineOptions uncached_options;
+      uncached_options.num_threads = threads;
+      auto session = make();
+      const auto uncached =
+          QueryEngine(uncached_options).RunFamilies(session.get(), specs);
+      ASSERT_TRUE(uncached.ok()) << base;
+      ExpectOracleRankings(*uncached, specs, base + " uncached");
+      for (const size_t capacity : {size_t{1}, size_t{64}}) {
+        QueryEngineOptions options = uncached_options;
+        options.result_cache_capacity = capacity;
+        const QueryEngine engine(options);
+        for (const bool warm : {false, true}) {
+          const std::string label = base + " cache=" +
+                                    std::to_string(capacity) +
+                                    (warm ? " warm" : " cold");
+          const auto report = engine.RunFamilies(session.get(), specs);
+          ASSERT_TRUE(report.ok()) << label;
+          ExpectOracleRankings(*report, specs, label);
+          for (size_t i = 0; i < specs.size(); ++i) {
+            EXPECT_EQ(report->answers[i], uncached->answers[i])
+                << label << " " << specs[i].ToString();
+          }
+          if (warm && capacity == 64) {
+            // Every spec finds each of its distinct keys cached.
+            EXPECT_EQ(report->summary.result_cache_hits, 2u + 3u + 3u + 7u)
+                << label;
+            EXPECT_EQ(report->summary.total_pages_fetched, 0u) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(QueryFamilyTopKCache, InvalidTopKSpecsDoNoBackendWork) {
+  const std::vector<QuerySpec> specs = {Boolean(4), TopK({1, 2}, 0),
+                                        TopK({1, 2}, -3), TopK({}, 2)};
+  for (const auto& [name, make] : stack_->backends) {
+    for (const int threads : {1, 4}) {
+      for (const size_t capacity : {size_t{0}, size_t{64}}) {
+        const std::string label = name + " threads=" +
+                                  std::to_string(threads) +
+                                  " cache=" + std::to_string(capacity);
+        QueryEngineOptions options;
+        options.num_threads = threads;
+        options.result_cache_capacity = capacity;
+        auto session = make();
+        const auto report =
+            QueryEngine(options).RunFamilies(session.get(), specs);
+        ASSERT_TRUE(report.ok()) << label;
+        ASSERT_TRUE(report->statuses[0].ok()) << label;
+        EXPECT_FALSE(NoBackendWork(report->per_query[0])) << label;
+        for (size_t i = 1; i < specs.size(); ++i) {
+          EXPECT_TRUE(report->statuses[i].IsInvalidArgument())
+              << label << " " << report->statuses[i].ToString();
+          EXPECT_TRUE(NoBackendWork(report->per_query[i]))
+              << label << " " << specs[i].ToString();
+        }
+        EXPECT_EQ(report->summary.failed_queries, specs.size() - 1) << label;
+        EXPECT_EQ(report->summary.result_cache_hits, 0u) << label;
+      }
     }
   }
 }
